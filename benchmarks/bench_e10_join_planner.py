@@ -32,6 +32,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -96,18 +97,18 @@ def test_e10_skewed_speedup(benchmark, n):
     headline."""
     facts, program = skewed_workload(n)
     t_source, m_source = timed(
-        lambda: compute_model(facts, program, "source", "tuple")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="tuple"))
     )
     t_greedy, m_greedy = timed(
-        lambda: compute_model(facts, program, "greedy", "tuple")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="greedy", exec_mode="tuple"))
     )
     assert set(m_source) == set(m_greedy)
     assert m_greedy.count("hit") == SMALL
     t_source_batch, m_source_batch = timed(
-        lambda: compute_model(facts, program, "source", "batch")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="batch"))
     )
     t_greedy_batch, m_greedy_batch = timed(
-        lambda: compute_model(facts, program, "greedy", "batch")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="greedy", exec_mode="batch"))
     )
     assert set(m_source_batch) == set(m_greedy_batch) == set(m_greedy)
     speedup = t_source / t_greedy
@@ -129,14 +130,14 @@ def test_e10_skewed_speedup(benchmark, n):
         f"greedy plan only {speedup:.2f}x faster than source order "
         f"(source {t_source * 1e3:.2f} ms, greedy {t_greedy * 1e3:.2f} ms)"
     )
-    benchmark(lambda: compute_model(facts, program, "greedy"))
+    benchmark(lambda: compute_model(facts, program, config=EngineConfig(plan="greedy")))
 
 
 @pytest.mark.parametrize("n", CROSS_SIZES)
 def test_e10_cross_product_avoidance(benchmark, n):
     facts, program = cross_workload(n)
-    t_source, m_source = timed(lambda: compute_model(facts, program, "source"))
-    t_greedy, m_greedy = timed(lambda: compute_model(facts, program, "greedy"))
+    t_source, m_source = timed(lambda: compute_model(facts, program, config=EngineConfig(plan="source")))
+    t_greedy, m_greedy = timed(lambda: compute_model(facts, program, config=EngineConfig(plan="greedy")))
     assert set(m_source) == set(m_greedy)
     assert m_greedy.count("joined") == n
     speedup = t_source / t_greedy
@@ -150,4 +151,4 @@ def test_e10_cross_product_avoidance(benchmark, n):
     # Source order is quadratic here, greedy stays linear in the edges;
     # the margin grows with n, so even the small quick sizes clear 3x.
     assert speedup >= 3.0
-    benchmark(lambda: compute_model(facts, program, "greedy"))
+    benchmark(lambda: compute_model(facts, program, config=EngineConfig(plan="greedy")))

@@ -26,6 +26,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.logic.parser import parse_atom
 from repro.workloads.deductive import ancestor_database
 from repro.workloads.orders import OrdersWorkload
@@ -49,7 +50,7 @@ def timed(fn, repeats=3):
 
 def answers_via(db, strategy, pattern):
     """(derived-fact count, frozen answer set) under *strategy*."""
-    engine = db.engine(strategy)
+    engine = db.engine(config=EngineConfig(strategy=strategy))
     answers = frozenset(
         frozenset((v.name, str(t)) for v, t in s.items())
         for s in engine.match_atom(pattern)
@@ -109,11 +110,11 @@ def test_e11_ground_probe_orders_workload(benchmark):
     db = workload.build()
     atom = parse_atom("open_order(ord3_0)")
 
-    lazy_engine = db.copy().engine("lazy")
+    lazy_engine = db.copy().engine(config=EngineConfig(strategy="lazy"))
     expected = lazy_engine.holds(atom)
     derived_lazy = len(lazy_engine._derived)
 
-    magic_engine = db.copy().engine("magic")
+    magic_engine = db.copy().engine(config=EngineConfig(strategy="magic"))
     assert magic_engine.holds(atom) is expected
     derived_magic = magic_engine.magic.derived_fact_count()
     report(
@@ -127,6 +128,6 @@ def test_e11_ground_probe_orders_workload(benchmark):
     assert derived_magic * 5 <= derived_lazy
 
     def probe():
-        return db.copy().engine("magic").holds(atom)
+        return db.copy().engine(config=EngineConfig(strategy="magic")).holds(atom)
 
     benchmark(probe)

@@ -36,6 +36,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -105,10 +106,10 @@ def test_e13_hub_join_speedup(benchmark, n):
     """The headline acceptance: >= 3x on the duplicate-key wide join."""
     facts, program = hub_workload(n)
     t_tuple, m_tuple = timed(
-        lambda: compute_model(facts, program, "source", "tuple")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="tuple"))
     )
     t_batch, m_batch = timed(
-        lambda: compute_model(facts, program, "source", "batch")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="batch"))
     )
     assert set(m_tuple) == set(m_batch)
     assert m_batch.count("hit") > 0
@@ -124,7 +125,7 @@ def test_e13_hub_join_speedup(benchmark, n):
         f"batch exec only {speedup:.2f}x faster than tuple "
         f"(tuple {t_tuple * 1e3:.2f} ms, batch {t_batch * 1e3:.2f} ms)"
     )
-    benchmark(lambda: compute_model(facts, program, "source", "batch"))
+    benchmark(lambda: compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="batch")))
 
 
 @pytest.mark.parametrize("n", STAR_SIZES)
@@ -132,10 +133,10 @@ def test_e13_star_join_speedup(benchmark, n):
     """Wide-output star join under the default greedy plan."""
     facts, program = star_workload(n)
     t_tuple, m_tuple = timed(
-        lambda: compute_model(facts, program, "greedy", "tuple")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="greedy", exec_mode="tuple"))
     )
     t_batch, m_batch = timed(
-        lambda: compute_model(facts, program, "greedy", "batch")
+        lambda: compute_model(facts, program, config=EngineConfig(plan="greedy", exec_mode="batch"))
     )
     assert set(m_tuple) == set(m_batch)
     assert m_batch.count("wide") == n * FANOUT * FANOUT
@@ -151,7 +152,7 @@ def test_e13_star_join_speedup(benchmark, n):
     # here, bounding the ratio — the assertion guards the win without
     # inviting CI flakes.
     assert speedup >= 1.5
-    benchmark(lambda: compute_model(facts, program, "greedy", "batch"))
+    benchmark(lambda: compute_model(facts, program, config=EngineConfig(plan="greedy", exec_mode="batch")))
 
 
 def test_e13_tracing_overhead():
@@ -162,11 +163,11 @@ def test_e13_tracing_overhead():
     facts, program = hub_workload(HUB_SIZES[0])
 
     def untraced():
-        return compute_model(facts, program, "source", "batch")
+        return compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="batch"))
 
     def traced():
         with trace_query("e13 hub join"):
-            return compute_model(facts, program, "source", "batch")
+            return compute_model(facts, program, config=EngineConfig(plan="source", exec_mode="batch"))
 
     # Warm both legs, then interleave the measurements so clock drift
     # and cache warm-up hit both equally (a sequential best-of skews

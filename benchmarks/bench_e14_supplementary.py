@@ -38,6 +38,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog.facts import FactStore
 from repro.datalog.magic import MagicEvaluator
 from repro.datalog.program import Program, Rule
@@ -98,7 +99,9 @@ def drive(chain, fanout, supplementary, repeats=3):
     for _ in range(repeats):
         facts, program = workload(chain, fanout)
         evaluator = MagicEvaluator(
-            facts, program, supplementary=supplementary
+            facts,
+            program,
+            config=EngineConfig(supplementary=supplementary),
         )
         start = time.perf_counter()
         answers = sorted(

@@ -25,6 +25,7 @@ import time
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -89,10 +90,10 @@ def measure(k):
     fallbacks = default_registry().counter("join.wcoj_fallbacks")
     before = fallbacks.value
     t_hash, m_hash = timed(
-        lambda: compute_model(facts, TRIANGLE, "greedy", join_algo="hash")
+        lambda: compute_model(facts, TRIANGLE, config=EngineConfig(plan="greedy", join_algo="hash"))
     )
     t_wcoj, m_wcoj = timed(
-        lambda: compute_model(facts, TRIANGLE, "greedy", join_algo="wcoj")
+        lambda: compute_model(facts, TRIANGLE, config=EngineConfig(plan="greedy", join_algo="wcoj"))
     )
     assert set(m_hash) == set(m_wcoj)
     assert m_wcoj.count("tri") == 3 * k + 1
@@ -129,7 +130,7 @@ def test_e17_wcoj_speedup_grows_with_density(benchmark):
         assert faster >= slower * MIN_GROWTH, speedups
     facts = loomis_whitney(DENSITIES[0])
     benchmark(
-        lambda: compute_model(facts, TRIANGLE, "greedy", join_algo="wcoj")
+        lambda: compute_model(facts, TRIANGLE, config=EngineConfig(plan="greedy", join_algo="wcoj"))
     )
 
 
@@ -141,7 +142,7 @@ def test_e17_auto_routes_the_cyclic_body_to_wcoj():
     facts = loomis_whitney(k)
     joins = default_registry().counter("join.wcoj_joins")
     before = joins.value
-    model = compute_model(facts, TRIANGLE, "greedy", join_algo="auto")
+    model = compute_model(facts, TRIANGLE, config=EngineConfig(plan="greedy", join_algo="auto"))
     assert model.count("tri") == 3 * k + 1
     assert joins.value > before
 
@@ -164,10 +165,10 @@ def test_e17_wcoj_overhead_on_acyclic_star_is_nil(k):
     joins_before = registry.counter("join.wcoj_joins").value
     falls_before = registry.counter("join.wcoj_fallbacks").value
     t_hash, m_hash = timed(
-        lambda: compute_model(facts, star, "greedy", join_algo="hash")
+        lambda: compute_model(facts, star, config=EngineConfig(plan="greedy", join_algo="hash"))
     )
     t_auto, m_auto = timed(
-        lambda: compute_model(facts, star, "greedy", join_algo="auto")
+        lambda: compute_model(facts, star, config=EngineConfig(plan="greedy", join_algo="auto"))
     )
     assert set(m_hash) == set(m_auto)
     assert registry.counter("join.wcoj_joins").value == joins_before

@@ -44,13 +44,8 @@ paper-claim-by-claim reproduction record.
 import os as _os
 from typing import Optional as _Optional, Union as _Union
 
-# Initialize the datalog package before repro.config: config's own
-# imports (joins, planner) would otherwise re-enter repro.datalog's
-# package __init__ mid-flight and hit a partially initialized module.
-import repro.datalog  # noqa: F401  isort:skip
-
 from repro.analysis import AnalysisReport, Diagnostic, analyze
-from repro.config import EngineConfig, resolve_config
+from repro.config import BACKENDS, EngineConfig
 from repro.datalog.database import Constraint, DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.incremental import MaintainedModel
@@ -70,7 +65,7 @@ from repro.satisfiability.checker import (
 from repro.satisfiability.tableaux import TableauxChecker
 from repro.service.database import ManagedDatabase
 from repro.service.transactions import CommitResult, Session
-from repro.storage.backends import BACKENDS, StoreBackend, make_store
+from repro.storage.backends import StoreBackend, make_store
 from repro.storage.result_cache import ResultCache
 
 #: The transactional database handle :func:`open` returns.
@@ -107,6 +102,7 @@ def metrics() -> dict:
     return default_registry().snapshot()
 
 
+#: The single source of the package version (pyproject.toml reads it).
 __version__ = "1.2.0"
 
 __all__ = [
@@ -148,6 +144,5 @@ __all__ = [
     "open",
     "parse_formula",
     "parse_program",
-    "resolve_config",
     "__version__",
 ]

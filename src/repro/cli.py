@@ -25,6 +25,7 @@ protocol speaks (:mod:`repro.serialize`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -32,15 +33,20 @@ import time
 from typing import Optional, Sequence
 
 from repro import serialize
-from repro.config import DEFAULT_SLOW_QUERY_MS, STRATEGIES, EngineConfig
-from repro.datalog.database import DeductiveDatabase
-from repro.datalog.joins import (
+from repro.config import (
+    BACKENDS,
+    DEFAULT_BACKEND,
     DEFAULT_EXEC,
     DEFAULT_JOIN,
+    DEFAULT_PLAN,
+    DEFAULT_SLOW_QUERY_MS,
     EXEC_MODES,
     JOIN_ALGOS,
+    PLANS,
+    STRATEGIES,
+    EngineConfig,
 )
-from repro.datalog.planner import DEFAULT_PLAN, PLANS
+from repro.datalog.database import DeductiveDatabase
 from repro.integrity.checker import METHODS, IntegrityChecker
 from repro.obs.metrics import default_registry
 from repro.obs.trace import (
@@ -49,7 +55,6 @@ from repro.obs.trace import (
     render_trace,
     trace_query,
 )
-from repro.storage.backends import BACKENDS, DEFAULT_BACKEND
 from repro.logic.parser import parse_formula
 from repro.logic.normalize import normalize_constraint
 from repro.satisfiability.checker import SatisfiabilityChecker
@@ -186,16 +191,14 @@ def _config_from_args(args) -> EngineConfig:
         logging.getLogger(SLOW_QUERY_LOGGER).addHandler(
             logging.StreamHandler(sys.stderr)
         )
-    return EngineConfig(
-        strategy=getattr(args, "strategy", "lazy"),
-        plan=getattr(args, "plan", DEFAULT_PLAN),
-        exec_mode=getattr(args, "exec_mode", DEFAULT_EXEC),
-        join_algo=getattr(args, "join_algo", DEFAULT_JOIN),
-        supplementary=getattr(args, "supplementary", True),
-        backend=getattr(args, "backend", DEFAULT_BACKEND),
-        cache=getattr(args, "cache", False),
-        slow_query_ms=slow_query_ms,
-    )
+    # Every knob option's argparse ``dest`` is its EngineConfig field.
+    knobs = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(EngineConfig)
+        if hasattr(args, field.name)
+    }
+    knobs["slow_query_ms"] = slow_query_ms
+    return EngineConfig(**knobs)
 
 
 def _metrics_delta(before: dict) -> dict:

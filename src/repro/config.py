@@ -1,19 +1,13 @@
 """One frozen configuration object for every engine knob.
 
-Before PR 6 four knobs (``strategy``, ``plan``, ``exec_mode``,
-``supplementary``) were threaded positionally through ten classes, and
-each seam re-validated them; adding the storage ``backend`` and result
-``cache`` knobs would have made it six. :class:`EngineConfig` collapses
-them into one immutable dataclass validated in one place
-(:meth:`EngineConfig.__post_init__`), hashable so it can key engine
-memos and cache entries directly.
-
-Every constructor that used to take the loose kwargs now accepts
-``config=EngineConfig(...)`` (or an ``EngineConfig`` in the old
-``strategy`` position) and routes the old keywords through
-:func:`resolve_config`, the deprecation shim: legacy calls keep
-working, but warn once per call site that the keyword spelling is on
-its way out.
+The rule: this is the only module that names a knob's domain or reads
+a ``REPRO_*`` environment variable. It imports nothing from ``repro``,
+so every layer can import it; every engine seam takes exactly one
+``config: EngineConfig | None = None`` parameter (``None`` means
+``EngineConfig()``) and reads ``config.<knob>``. Values are validated
+once, in :meth:`EngineConfig.__post_init__`, with a one-line
+``ValueError`` naming the accepted choices; the config is hashable, so
+it keys engine memos and cache entries directly.
 
 The knobs:
 
@@ -54,21 +48,59 @@ The knobs:
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
-
-from repro.datalog.joins import (
-    DEFAULT_EXEC,
-    DEFAULT_JOIN,
-    validate_exec,
-    validate_join_algo,
-)
-from repro.datalog.planner import DEFAULT_PLAN, validate_plan
-from repro.storage.backends import DEFAULT_BACKEND, validate_backend
+from typing import Optional, Tuple
 
 STRATEGIES = ("lazy", "topdown", "model", "magic")
+PLANS = ("greedy", "source")
+#: ``batch`` is the set-at-a-time kernel, ``tuple`` the oracle the
+#: differential suite compares it against.
+EXEC_MODES = ("batch", "tuple")
+#: ``hash`` is the pairwise pipeline; ``wcoj`` attempts the leapfrog
+#: triejoin on every eligible body and counts a fallback otherwise;
+#: ``auto`` routes only *cyclic* eligible bodies to it — an acyclic
+#: body has a join tree the hash pipeline already evaluates
+#: near-optimally, so choosing hash there is a plan, not a fallback.
+JOIN_ALGOS = ("auto", "wcoj", "hash")
+BACKENDS = ("dict", "sqlite")
+
+
+def _choice(label: str, value: str, domain: Tuple[str, ...]) -> str:
+    if value not in domain:
+        raise ValueError(f"unknown {label} {value!r}; pick one of {domain}")
+    return value
+
+
+def validate_backend(backend: str) -> str:
+    """Fail fast on an unknown backend name, listing the accepted
+    values. Public because :func:`repro.storage.backends.make_store`
+    is callable without a config."""
+    return _choice("backend", backend, BACKENDS)
+
+
+def _env_choice(
+    variable: str, label: str, domain: Tuple[str, ...], default: str
+) -> str:
+    """A process-wide default the CI matrix flips without touching
+    call sites; a typo aborts import with one clear error."""
+    return _choice(label, os.environ.get(variable, default), domain)
+
+
+def _slow_query_ms(value, name: str = "slow_query_ms") -> float:
+    """A finite threshold >= 0 (``nan`` would compare false against
+    every elapsed time and log each query as slow)."""
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value < 0
+    ):
+        raise ValueError(
+            f"{name} must be a finite number >= 0 (ms): {value!r}"
+        )
+    return value
 
 
 def _default_slow_query_ms() -> Optional[float]:
@@ -85,13 +117,13 @@ def _default_slow_query_ms() -> Optional[float]:
         raise ValueError(
             f"REPRO_SLOW_QUERY_MS must be a number (ms): {raw!r}"
         ) from None
-    if value < 0:
-        raise ValueError(
-            f"REPRO_SLOW_QUERY_MS must be >= 0: {raw!r}"
-        )
-    return value
+    return _slow_query_ms(value, "REPRO_SLOW_QUERY_MS")
 
 
+DEFAULT_PLAN = "greedy"
+DEFAULT_EXEC = _env_choice("REPRO_EXEC", "exec mode", EXEC_MODES, "batch")
+DEFAULT_JOIN = _env_choice("REPRO_JOIN", "join algo", JOIN_ALGOS, "auto")
+DEFAULT_BACKEND = _env_choice("REPRO_BACKEND", "backend", BACKENDS, "dict")
 DEFAULT_SLOW_QUERY_MS = _default_slow_query_ms()
 
 
@@ -117,16 +149,6 @@ def default_metrics_port() -> Optional[int]:
     return value
 
 
-def validate_strategy(strategy: str) -> str:
-    """Fail fast on an unknown strategy name, listing the accepted
-    values — mirrors :func:`repro.datalog.planner.validate_plan`."""
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; pick one of {STRATEGIES}"
-        )
-    return strategy
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Immutable bundle of every evaluation/storage knob."""
@@ -144,10 +166,10 @@ class EngineConfig:
     join_algo: str = DEFAULT_JOIN
 
     def __post_init__(self):
-        validate_strategy(self.strategy)
-        validate_plan(self.plan)
-        validate_exec(self.exec_mode)
-        validate_join_algo(self.join_algo)
+        _choice("strategy", self.strategy, STRATEGIES)
+        _choice("plan", self.plan, PLANS)
+        _choice("exec mode", self.exec_mode, EXEC_MODES)
+        _choice("join algo", self.join_algo, JOIN_ALGOS)
         validate_backend(self.backend)
         if not isinstance(self.supplementary, bool):
             raise ValueError(
@@ -161,15 +183,8 @@ class EngineConfig:
             raise ValueError(
                 f"cache_size must be a positive int: {self.cache_size!r}"
             )
-        if self.slow_query_ms is not None and (
-            not isinstance(self.slow_query_ms, (int, float))
-            or isinstance(self.slow_query_ms, bool)
-            or self.slow_query_ms < 0
-        ):
-            raise ValueError(
-                "slow_query_ms must be None or a number >= 0: "
-                f"{self.slow_query_ms!r}"
-            )
+        if self.slow_query_ms is not None:
+            _slow_query_ms(self.slow_query_ms)
 
     def replace(self, **changes) -> "EngineConfig":
         """A copy with *changes* applied (re-validated)."""
@@ -193,58 +208,3 @@ class EngineConfig:
             # divergence bug between the legs.
             self.join_algo,
         )
-
-
-#: The legacy keyword spellings :func:`resolve_config` accepts.
-_KNOBS = tuple(field.name for field in dataclasses.fields(EngineConfig))
-
-
-def resolve_config(
-    value: Union[EngineConfig, str, None] = None,
-    *,
-    base: Optional[EngineConfig] = None,
-    warn: bool = True,
-    **legacy,
-) -> EngineConfig:
-    """Resolve a seam's configuration arguments into one
-    :class:`EngineConfig`.
-
-    *value* is whatever arrived in the config (née ``strategy``)
-    position: an :class:`EngineConfig`, a legacy strategy string, or
-    ``None``. *legacy* holds the seam's old keyword arguments
-    (``strategy=​``, ``plan=``, ...), each ``None`` when the caller left
-    it alone. Explicit legacy values override *value*/*base*; using
-    them emits a :class:`DeprecationWarning` unless *warn* is false
-    (internal seams that merely forward defaults pass ``warn=False``).
-    """
-    unknown = set(legacy) - set(_KNOBS)
-    if unknown:
-        raise TypeError(f"unknown engine option(s): {sorted(unknown)}")
-    overrides = {k: v for k, v in legacy.items() if v is not None}
-    positional_strategy = isinstance(value, str)
-    if isinstance(value, EngineConfig):
-        config = value
-    elif value is None:
-        config = base if base is not None else EngineConfig()
-    elif positional_strategy:
-        # Legacy positional strategy string.
-        overrides.setdefault("strategy", value)
-        config = base if base is not None else EngineConfig()
-    else:
-        raise TypeError(
-            f"expected EngineConfig, strategy string or None, "
-            f"got {value!r}"
-        )
-    if warn and not isinstance(value, EngineConfig) and (
-        overrides or positional_strategy
-    ):
-        warnings.warn(
-            "passing loose engine knobs ("
-            + ", ".join(sorted(overrides))
-            + ") is deprecated; pass config=EngineConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config

@@ -9,13 +9,10 @@ integrity and satisfiability layers drive.
 
 from repro.datalog.facts import FactStore
 from repro.datalog.joins import (
-    DEFAULT_EXEC,
-    EXEC_MODES,
     join_body,
     join_literals,
     join_literals_batch,
     join_literals_rows,
-    validate_exec,
 )
 from repro.datalog.magic import (
     MagicEvaluator,
@@ -27,8 +24,6 @@ from repro.datalog.magic import (
 )
 from repro.datalog.overlay import OverlayFactStore
 from repro.datalog.planner import (
-    DEFAULT_PLAN,
-    PLANS,
     GreedyPlanner,
     Planner,
     SourcePlanner,
@@ -42,14 +37,11 @@ from repro.datalog.program import (
 from repro.datalog.bottomup import compute_model, compute_model_naive
 from repro.datalog.incremental import MaintainedModel
 from repro.datalog.topdown import TabledEvaluator
-from repro.datalog.query import STRATEGIES, QueryEngine, validate_strategy
+from repro.datalog.query import QueryEngine
 from repro.datalog.database import Constraint, DeductiveDatabase
 
 __all__ = [
     "Constraint",
-    "DEFAULT_EXEC",
-    "DEFAULT_PLAN",
-    "EXEC_MODES",
     "DeductiveDatabase",
     "FactStore",
     "GreedyPlanner",
@@ -60,12 +52,10 @@ __all__ = [
     "MagicStratificationError",
     "MaintainedModel",
     "OverlayFactStore",
-    "PLANS",
     "Planner",
     "Program",
     "QueryEngine",
     "Rule",
-    "STRATEGIES",
     "SourcePlanner",
     "StratificationError",
     "TabledEvaluator",
@@ -77,6 +67,4 @@ __all__ = [
     "join_literals_rows",
     "magic_rewrite",
     "make_planner",
-    "validate_exec",
-    "validate_strategy",
 ]

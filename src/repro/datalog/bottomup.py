@@ -14,7 +14,6 @@ subprogram into a side store without copying the extensional database.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING,
     Iterable,
     Iterator,
     List,
@@ -24,33 +23,19 @@ from typing import (
     Set,
 )
 
+from repro.config import EngineConfig
 from repro.datalog.facts import FactStore
 from repro.storage.backends.base import StoreBackend
-from repro.datalog.columnar import ColumnarRelation
 from repro.datalog.joins import (
-    DEFAULT_EXEC,
-    DEFAULT_JOIN,
-    atom_builder,
+    derive_heads,
     join_literals,
-    join_literals_rows,
-    pattern_variables,
-    rows_from_source,
-    validate_exec,
-    validate_join_algo,
+    substitutions_from_source,
 )
-from repro.datalog.planner import (
-    DEFAULT_PLAN,
-    Planner,
-    make_planner,
-    source_cardinality,
-)
+from repro.datalog.planner import Planner, make_planner
 from repro.datalog.program import Program, Rule
 from repro.logic.formulas import Atom
 from repro.logic.substitution import Substitution
 from repro.obs.trace import current_trace
-
-if TYPE_CHECKING:
-    from repro.config import EngineConfig
 
 
 class EvaluationView(Protocol):
@@ -63,132 +48,27 @@ class EvaluationView(Protocol):
     def add(self, fact: Atom) -> bool: ...
 
 
-def _derive_rule(
-    rule: Rule,
-    probe,
-    holds,
-    planner,
-    derived: List[Atom],
-    literals=None,
-    initial=None,
-    join_algo: Optional[str] = None,
-) -> None:
-    """Batch-solve one rule body and append its head instances to
-    *derived* — heads are built straight from the value rows (column
-    indexing, no per-tuple substitutions): the set-at-a-time fast path
-    of semi-naive evaluation.
-
-    *literals*/*initial* override the body and seed the pipeline from a
-    named row relation (the delta occurrence's rows), so a semi-naive
-    round flows the delta — a supplementary predicate's new tuples, or
-    any derived predicate's — straight into its consumer joins instead
-    of re-probing it through the store."""
-    build = None
-    for schema, rows in join_literals_rows(
-        rule.body if literals is None else literals,
-        Substitution.empty(),
-        probe,
-        holds,
-        planner,
-        initial=initial,
-        join_algo=join_algo,
-    ):
-        if build is None:
-            build = atom_builder(rule.head, schema)
-        derived.extend(map(build, rows))
-
-
-def _match_substitutions(view: EvaluationView, pattern: Atom):
-    from repro.logic.unify import match
-
-    for fact in view.match(pattern):
-        subst = match(pattern, fact)
-        if subst is not None:
-            yield subst
-
-
 def _derive_round(
     view: EvaluationView,
     rules: Sequence[Rule],
     stratum_preds: Set[str],
     delta: FactStore,
-    planner: Optional[Planner] = None,
-    exec_mode: str = DEFAULT_EXEC,
-    join_algo: str = DEFAULT_JOIN,
+    planner: Optional[Planner],
+    config: EngineConfig,
 ) -> List[Atom]:
     """One semi-naive round: join each rule with at least one body
     occurrence restricted to *delta*. Returns derived facts (possibly
     already known)."""
     derived: List[Atom] = []
-    view_estimate = source_cardinality(view)
     for rule in rules:
-        delta_positions = [
-            i
-            for i, literal in enumerate(rule.body)
-            if literal.positive and literal.atom.pred in stratum_preds
-        ]
-        for delta_position in delta_positions:
-            if exec_mode == "batch":
-                # Seed the pipeline from the delta occurrence's rows —
-                # the delta relation (a supplementary predicate's new
-                # tuples, or any derived predicate's) becomes the
-                # join's initial relation, and the remaining literals
-                # probe the full view as usual.
-                delta_pattern = rule.body[delta_position].atom
-                delta_rows = rows_from_source(delta, delta_pattern)
-                if not delta_rows:
-                    continue
-                _derive_rule(
-                    rule,
-                    lambda index, pattern: rows_from_source(view, pattern),
-                    view.contains,
-                    planner,
-                    derived,
-                    literals=rule.body_without(delta_position),
-                    # The delta relation enters columnar: the wcoj path
-                    # consumes the columns directly, the hash path
-                    # re-rows them once at the seam.
-                    initial=ColumnarRelation.from_rows(
-                        pattern_variables(delta_pattern), delta_rows
-                    ),
-                    join_algo=join_algo,
+        for position, literal in enumerate(rule.body):
+            if literal.positive and literal.atom.pred in stratum_preds:
+                derived.extend(
+                    derive_heads(
+                        rule.head, rule.body, view, planner, config,
+                        position, delta,
+                    )
                 )
-            else:
-
-                def matcher(index: int, pattern: Atom):
-                    if index == delta_position:
-                        for fact in delta.match(pattern):
-                            from repro.logic.unify import match as _m
-
-                            subst = _m(pattern, fact)
-                            if subst is not None:
-                                yield subst
-                    else:
-                        yield from _match_substitutions(view, pattern)
-
-                # The delta-restricted occurrence matches against the
-                # round's new facts, not the predicate's full extent —
-                # tell the planner so it schedules the small side first.
-                round_planner = planner
-                if planner is not None:
-
-                    def estimator(
-                        index: int, atom: Atom, _dpos=delta_position
-                    ) -> int:
-                        if index == _dpos:
-                            return delta.estimate(atom)
-                        return view_estimate(index, atom)
-
-                    round_planner = planner.with_cardinality(estimator)
-
-                for binding in join_literals(
-                    rule.body,
-                    Substitution.empty(),
-                    matcher,
-                    view.contains,
-                    round_planner,
-                ):
-                    derived.append(rule.head.substitute(binding))
     return derived
 
 
@@ -197,37 +77,17 @@ def evaluate_stratum(
     rules: Sequence[Rule],
     stratum_preds: Set[str],
     planner: Optional[Planner] = None,
-    exec_mode: str = DEFAULT_EXEC,
-    join_algo: str = DEFAULT_JOIN,
+    config: Optional[EngineConfig] = None,
 ) -> None:
     """Saturate one stratum's rules against *view* (semi-naive)."""
-    validate_exec(exec_mode)
-    validate_join_algo(join_algo)
+    config = config or EngineConfig()
     # Round zero: full join of every rule.
     delta = FactStore()
     initial: List[Atom] = []
     for rule in rules:
-
-        def matcher(index: int, pattern: Atom):
-            yield from _match_substitutions(view, pattern)
-
-        def probe(index: int, pattern: Atom):
-            return rows_from_source(view, pattern)
-
-        if exec_mode == "batch":
-            _derive_rule(
-                rule, probe, view.contains, planner, initial,
-                join_algo=join_algo,
-            )
-        else:
-            for binding in join_literals(
-                rule.body,
-                Substitution.empty(),
-                matcher,
-                view.contains,
-                planner,
-            ):
-                initial.append(rule.head.substitute(binding))
+        initial.extend(
+            derive_heads(rule.head, rule.body, view, planner, config)
+        )
     for fact in initial:
         if view.add(fact):
             delta.add(fact)
@@ -237,8 +97,7 @@ def evaluate_stratum(
     # Differential rounds.
     while len(delta):
         derived = _derive_round(
-            view, rules, stratum_preds, delta, planner, exec_mode,
-            join_algo,
+            view, rules, stratum_preds, delta, planner, config
         )
         delta = FactStore()
         for fact in derived:
@@ -251,42 +110,25 @@ def evaluate_stratum(
 def compute_model(
     edb: Iterable[Atom],
     program: Program,
-    plan: Optional[str] = None,
-    exec_mode: Optional[str] = None,
-    join_algo: Optional[str] = None,
     *,
-    config: Optional["EngineConfig"] = None,
+    config: Optional[EngineConfig] = None,
 ) -> FactStore:
     """Materialize the canonical model of ``edb ∪ program``.
 
     Returns a fresh store — same backend as *edb* when the EDB is a
     :class:`~repro.storage.backends.base.StoreBackend` (so a sqlite
     EDB yields a sqlite model) — containing the extensional facts
-    plus everything derivable, under the stratified semantics. *plan*
-    selects the join order (see :mod:`repro.datalog.planner`);
-    *exec_mode* the execution model and *join_algo* the batch path's
-    join algorithm (see :mod:`repro.datalog.joins`); a *config*
-    supplies them at once (an explicit loose knob still overrides it).
+    plus everything derivable, under the stratified semantics.
+    ``config.plan`` selects the join order (see
+    :mod:`repro.datalog.planner`); the execution model and join
+    algorithm are the kernel's business (see :mod:`repro.datalog.joins`).
     """
-    # Imported lazily: repro.config sits above the datalog kernel in
-    # the import order (it imports this package's siblings).
-    from repro.config import resolve_config
-
-    resolved = resolve_config(
-        config, plan=plan, exec_mode=exec_mode, join_algo=join_algo,
-        warn=False,
-    )
-    plan, exec_mode = resolved.plan, resolved.exec_mode
-    join_algo = resolved.join_algo
-    validate_exec(exec_mode)
-    validate_join_algo(join_algo)
+    config = config or EngineConfig()
     model = edb.copy() if isinstance(edb, StoreBackend) else FactStore(edb)
-    planner = make_planner(plan, model)
+    planner = make_planner(config.plan, model)
     for _, rules in program.rules_by_stratum():
         stratum_preds = {rule.head.pred for rule in rules}
-        evaluate_stratum(
-            model, rules, stratum_preds, planner, exec_mode, join_algo
-        )
+        evaluate_stratum(model, rules, stratum_preds, planner, config)
     return model
 
 
@@ -306,7 +148,7 @@ def compute_model_naive(
             for rule in rules:
 
                 def matcher(index: int, pattern: Atom):
-                    yield from _match_substitutions(model, pattern)
+                    return substitutions_from_source(model, pattern)
 
                 for binding in join_literals(
                     rule.body,

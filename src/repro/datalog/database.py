@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.config import EngineConfig, resolve_config
+from repro.config import EngineConfig
 from repro.datalog.facts import FactStore
 from repro.datalog.overlay import OverlayFactStore
 from repro.datalog.program import Program, Rule
@@ -200,65 +200,37 @@ class DeductiveDatabase:
 
     def engine(
         self,
-        strategy: Union[EngineConfig, str, None] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
-        join_algo: Optional[str] = None,
         *,
         config: Optional[EngineConfig] = None,
         result_cache: Optional[ResultCache] = None,
     ) -> QueryEngine:
-        """A query engine over the current state, configured by an
-        :class:`EngineConfig` (pass it as *config* or in the first
-        position; the loose keyword knobs survive as a deprecation
-        shim). Engines are cached per config and invalidated whenever
+        """A query engine over the current state, configured by
+        *config* (see :class:`repro.config.EngineConfig` for the
+        knobs). Engines are cached per config and invalidated whenever
         the database mutates.
 
-        ``config.strategy`` picks where intensional facts come from —
-        ``"lazy"`` (per-closure materialization, the default),
-        ``"topdown"`` (tabled resolution), ``"model"`` (full canonical
-        model up front) or ``"magic"`` (demand-driven bottom-up via the
-        magic-sets rewrite; see :mod:`repro.datalog.magic`).
-        ``config.plan`` picks the join order for rule bodies and
-        restrictions — ``"greedy"`` (selectivity-driven, the default)
-        or ``"source"`` (rule-source order, the unplanned oracle).
-        ``config.exec_mode`` picks the join execution model —
-        ``"batch"`` (set-at-a-time hash joins, the default) or
-        ``"tuple"`` (one binding at a time, the oracle; see
-        :mod:`repro.datalog.joins`). ``config.join_algo`` picks the
-        batch path's join algorithm — ``"auto"`` (leapfrog triejoin on
-        cyclic eligible bodies), ``"wcoj"`` or ``"hash"`` (see
-        :mod:`repro.datalog.wcoj`). ``config.supplementary`` (default
-        on) makes the magic rewrite share rule prefixes through
-        supplementary predicates. ``config.cache`` attaches a derived-
-        result cache; *result_cache* overrides it with a caller-owned
-        instance (the transaction manager's, invalidated precisely
-        from DRed change sets — without one, the database clears its
-        own caches coarsely on every mutation)."""
-        resolved = resolve_config(
-            config if config is not None else strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-            join_algo=join_algo,
-        )
+        ``config.cache`` attaches a derived-result cache;
+        *result_cache* overrides it with a caller-owned instance (the
+        transaction manager's, invalidated precisely from DRed change
+        sets — without one, the database clears its own caches
+        coarsely on every mutation)."""
+        config = config or EngineConfig()
         if self._engine_version != self._version:
             self._engines.clear()
             self._engine_version = self._version
-        key = (resolved, id(result_cache) if result_cache is not None else None)
+        key = (config, id(result_cache) if result_cache is not None else None)
         engine = self._engines.get(key)
         if engine is None:
-            if result_cache is None and resolved.cache:
-                cache_key = resolved.key()
+            if result_cache is None and config.cache:
+                cache_key = config.key()
                 result_cache = self._caches.get(cache_key)
                 if result_cache is None:
-                    result_cache = ResultCache(resolved.cache_size)
+                    result_cache = ResultCache(config.cache_size)
                     self._caches[cache_key] = result_cache
             engine = QueryEngine(
                 self.facts,
                 self.program,
-                config=resolved,
+                config=config,
                 result_cache=result_cache,
             )
             self._engines[key] = engine
@@ -297,54 +269,39 @@ class DeductiveDatabase:
         return trace
 
     def canonical_model(
-        self,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        *,
-        config: Optional[EngineConfig] = None,
+        self, *, config: Optional[EngineConfig] = None
     ) -> StoreBackend:
         """Materialize the full canonical model (EDB plus everything
         derivable). The model store inherits the EDB's backend."""
         from repro.datalog.bottomup import compute_model
 
-        resolved = resolve_config(config, plan=plan, exec_mode=exec_mode)
         base = (
             self.facts.copy()
             if isinstance(self.facts, OverlayFactStore)
             else self.facts
         )
-        return compute_model(base, self.program, config=resolved)
+        return compute_model(base, self.program, config=config)
 
     # -- constraint sweep (the naive baseline) ----------------------------------------------------
 
     def violated_constraints(
-        self,
-        strategy: Union[EngineConfig, str, None] = None,
-        plan: Optional[str] = None,
-        *,
-        config: Optional[EngineConfig] = None,
+        self, *, config: Optional[EngineConfig] = None
     ) -> List[Constraint]:
         """Evaluate *every* constraint from scratch — the full check the
-        paper's methods avoid. Kept as the ground-truth baseline."""
-        resolved = resolve_config(
-            config if config is not None else strategy,
-            base=EngineConfig(strategy="model"),
-            plan=plan,
-            warn=False,
+        paper's methods avoid. Kept as the ground-truth baseline; a
+        sweep touches everything, so the default config materializes
+        the whole model up front."""
+        engine = self.engine(
+            config=config or EngineConfig(strategy="model")
         )
-        engine = self.engine(config=resolved)
         return [
             c for c in self.constraints if not engine.evaluate(c.formula)
         ]
 
     def all_constraints_satisfied(
-        self,
-        strategy: Union[EngineConfig, str, None] = None,
-        plan: Optional[str] = None,
-        *,
-        config: Optional[EngineConfig] = None,
+        self, *, config: Optional[EngineConfig] = None
     ) -> bool:
-        return not self.violated_constraints(strategy, plan, config=config)
+        return not self.violated_constraints(config=config)
 
     def constraint_by_id(self, id: str) -> Constraint:
         for constraint in self.constraints:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.config import EngineConfig
+from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import (
     FactStore,
     build_group_index,
@@ -227,27 +229,16 @@ class MaintainedModel:
         self,
         edb,
         program: Program,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        join_algo: Optional[str] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
-        from repro.config import resolve_config
-        from repro.datalog.bottomup import compute_model
-
-        config = resolve_config(
-            config, plan=plan, exec_mode=exec_mode, join_algo=join_algo,
-            warn=False,
-        )
+        config = config or EngineConfig()
         self.config = config
         self.program = program
         # copy() preserves the EDB's backend, and compute_model hands
         # the model the same backend — a sqlite EDB maintains a sqlite
         # model, so out-of-core databases stay out of core end to end.
         self.edb = edb.copy()
-        self.exec_mode = config.exec_mode
-        self.join_algo = config.join_algo
         self.model = compute_model(self.edb, program, config=config)
         # Maintenance joins run over the evolving model; its cardinality
         # accounting keeps re-planning O(body²) per join.
@@ -259,11 +250,8 @@ class MaintainedModel:
         edb,
         program: Program,
         model,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        join_algo: Optional[str] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ) -> "MaintainedModel":
         """Resume a maintained model from a persisted *model* store
         without recomputing the fixpoint — the storage engine's
@@ -271,18 +259,11 @@ class MaintainedModel:
         model of ``edb ∪ program`` (the crash-recovery tests verify
         this equals a from-scratch recomputation); both stores are
         copied, so the snapshot they came from stays pristine."""
-        from repro.config import resolve_config
-
-        config = resolve_config(
-            config, plan=plan, exec_mode=exec_mode, join_algo=join_algo,
-            warn=False,
-        )
+        config = config or EngineConfig()
         maintained = cls.__new__(cls)
         maintained.config = config
         maintained.program = program
         maintained.edb = edb.copy()
-        maintained.exec_mode = config.exec_mode
-        maintained.join_algo = config.join_algo
         maintained.model = model.copy()
         maintained.planner = make_planner(config.plan, maintained.model)
         return maintained
@@ -474,9 +455,8 @@ class MaintainedModel:
             matcher,
             view.contains,
             self.planner,
-            exec_mode=self.exec_mode,
+            config=self.config,
             probe=probe_from_source(view),
-            join_algo=self.join_algo,
         )
 
     def _rederive(
@@ -511,9 +491,8 @@ class MaintainedModel:
                             matcher,
                             self.model.contains,
                             self.planner,
-                            exec_mode=self.exec_mode,
+                            config=self.config,
                             probe=probe_from_source(self.model),
-                            join_algo=self.join_algo,
                         )
                     ):
                         self.model.add(atom)
@@ -571,9 +550,8 @@ class MaintainedModel:
                             matcher,
                             self.model.contains,
                             self.planner,
-                            exec_mode=self.exec_mode,
+                            config=self.config,
                             probe=probe_from_source(self.model),
-                            join_algo=self.join_algo,
                         ):
                             derived.append(head.substitute(answer))
             for fact in derived:

@@ -25,10 +25,11 @@ fact source. Two execution models implement it:
     is preserved end to end.
 
 Both paths produce the same answer multiset (a property the
-differential harness pins); only enumeration order and cost differ. The module
-default :data:`DEFAULT_EXEC` is ``"batch"`` and can be flipped process-
-wide with the ``REPRO_EXEC`` environment variable — the oracle leg of
-the CI matrix runs the whole suite under ``REPRO_EXEC=tuple``.
+differential harness pins); only enumeration order and cost differ.
+Which one runs — and which join algorithm the batch path uses — comes
+from the :class:`repro.config.EngineConfig` every entry point receives;
+this is the only module that branches on ``config.exec_mode`` and
+``config.join_algo``.
 
 The *order* in which positive literals are solved is delegated to a
 :class:`repro.datalog.planner.Planner` when one is supplied; without
@@ -39,7 +40,6 @@ commutative — only the cost differs.
 
 from __future__ import annotations
 
-import os
 from typing import (
     Callable,
     Iterable,
@@ -51,12 +51,14 @@ from typing import (
     Union,
 )
 
+from repro.config import EngineConfig
 from repro.datalog import wcoj
 from repro.datalog.columnar import ColumnarRelation
-from repro.datalog.planner import Planner
+from repro.datalog.planner import Planner, source_cardinality
 from repro.logic.formulas import Atom, Literal
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
+from repro.logic.unify import match
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_trace
 
@@ -70,54 +72,13 @@ HoldsTest = Callable[[Atom], bool]
 # distinct variables in first-occurrence order.
 BatchProbe = Callable[[int, Atom], Iterable[Tuple[Constant, ...]]]
 
-#: The execution models the join kernel implements.
-EXEC_MODES = ("batch", "tuple")
-
-
-def validate_exec(exec_mode: str) -> str:
-    """Fail fast on an unknown execution mode, listing the accepted
-    values — mirrors :func:`repro.datalog.planner.validate_plan`."""
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown exec mode {exec_mode!r}; pick one of {EXEC_MODES}"
-        )
-    return exec_mode
-
-
-#: Process-wide default execution model; ``REPRO_EXEC`` overrides it so
-#: the test matrix can pin the tuple oracle without touching call sites.
-DEFAULT_EXEC = validate_exec(os.environ.get("REPRO_EXEC", "batch"))
-
-#: The join algorithms the batch kernel dispatches between. ``hash``
-#: is the pairwise set-at-a-time pipeline; ``wcoj`` attempts the
-#: worst-case-optimal leapfrog triejoin (:mod:`repro.datalog.wcoj`) on
-#: every eligible body and counts a fallback otherwise; ``auto`` (the
-#: default) routes only *cyclic* eligible bodies to the leapfrog —
-#: alpha-acyclic bodies have a join tree the hash pipeline already
-#: evaluates near-optimally, so choosing hash there is a plan, not a
-#: fallback.
-JOIN_ALGOS = ("auto", "wcoj", "hash")
-
-
-def validate_join_algo(join_algo: str) -> str:
-    """Fail fast on an unknown join algorithm, listing the accepted
-    values — mirrors :func:`validate_exec`."""
-    if join_algo not in JOIN_ALGOS:
-        raise ValueError(
-            f"unknown join algo {join_algo!r}; pick one of {JOIN_ALGOS}"
-        )
-    return join_algo
-
-
-#: Process-wide default join algorithm; ``REPRO_JOIN`` overrides it so
-#: the CI matrix can run the whole suite over the leapfrog path.
-DEFAULT_JOIN = validate_join_algo(os.environ.get("REPRO_JOIN", "auto"))
-
-
-#: The kernel's registry instrument — the canonical home of the old
-#: ``JOIN_COUNTERS.tuple_fallbacks`` count. A thread-safe
-#: :class:`repro.obs.metrics.Counter`: the service layer commits from
-#: multiple threads, and the old bare ``+=`` lost increments there.
+#: :func:`join_body` calls that asked for the batch model but fell back
+#: to the tuple oracle because the initial binding mapped variables to
+#: non-constants — the relational representation carries value rows
+#: only. Tests pin "no fallback" on paths that are supposed to stay
+#: relational (e.g. tabled evaluation after its standardize-apart
+#: pass). A thread-safe :class:`repro.obs.metrics.Counter`: the service
+#: layer commits from multiple threads.
 _TUPLE_FALLBACKS = default_registry().counter("join.tuple_fallbacks")
 
 #: Leapfrog dispatch accounting: bodies the worst-case-optimal path
@@ -128,40 +89,6 @@ _TUPLE_FALLBACKS = default_registry().counter("join.tuple_fallbacks")
 #: an acyclic body counts as neither: that is the planner planning.
 _WCOJ_JOINS = default_registry().counter("join.wcoj_joins")
 _WCOJ_FALLBACKS = default_registry().counter("join.wcoj_fallbacks")
-
-
-class JoinCounters:
-    """Deprecation shim: the kernel's work counters now live in the
-    default :class:`repro.obs.metrics.MetricsRegistry` under
-    ``join.*`` names.
-
-    ``tuple_fallbacks`` counts :func:`join_body` calls that asked for
-    the batch model but fell back to the tuple oracle because the
-    initial binding mapped variables to non-constants — the relational
-    representation carries value rows only. The counter exists so the
-    regression tests can pin "no fallback" on code paths that are
-    supposed to stay relational (e.g. tabled evaluation after its
-    standardize-apart pass). Reads and :meth:`reset` delegate to the
-    registry's ``join.tuple_fallbacks`` counter."""
-
-    __slots__ = ()
-
-    @property
-    def tuple_fallbacks(self) -> int:
-        return _TUPLE_FALLBACKS.value
-
-    @tuple_fallbacks.setter
-    def tuple_fallbacks(self, value: int) -> None:
-        _TUPLE_FALLBACKS.set(value)
-
-    def reset(self) -> None:
-        _TUPLE_FALLBACKS.set(0)
-
-
-#: The kernel's shared counter instance (reset freely in tests).
-#: Deprecated alias — new code reads
-#: ``default_registry().snapshot()["join.tuple_fallbacks"]``.
-JOIN_COUNTERS = JoinCounters()
 
 #: How many binding rows flow through the batch pipeline at once. Small
 #: enough that first-answer consumers stay cheap, large enough that the
@@ -302,6 +229,17 @@ def rows_from_source(source, pattern: Atom) -> List[Tuple[Constant, ...]]:
         ):
             rows.append(tuple(args[p] for p in out_positions))
     return rows
+
+
+def substitutions_from_source(
+    source, pattern: Atom
+) -> Iterator[Substitution]:
+    """Answer substitutions for *pattern* against a fact source — the
+    tuple path's counterpart of :func:`rows_from_source`."""
+    for fact in source.match(pattern):
+        subst = match(pattern, fact)
+        if subst is not None:
+            yield subst
 
 
 def rows_from_substitutions(
@@ -542,7 +480,7 @@ def join_literals_rows(
         Tuple[Sequence[Variable], Sequence[tuple]],
         None,
     ] = None,
-    join_algo: Optional[str] = None,
+    config: Optional[EngineConfig] = None,
 ) -> Iterator[Tuple[Tuple[Variable, ...], List[tuple]]]:
     """The relational core of the batch path: yields ``(schema, rows)``
     chunks, where *schema* names the row columns (fixed for the whole
@@ -550,8 +488,8 @@ def join_literals_rows(
     the body. Chunks surface as soon as they fill, so single-witness
     consumers stop after the first one.
 
-    *join_algo* selects between the pairwise hash pipeline and the
-    worst-case-optimal leapfrog triejoin (see :data:`JOIN_ALGOS`);
+    ``config.join_algo`` selects between the pairwise hash pipeline and
+    the worst-case-optimal leapfrog triejoin;
     eligible bodies — all-positive, at least three relations counting
     the *initial* seed, at least one shared variable (plus cyclicity
     under ``auto``) — run :mod:`repro.datalog.wcoj`, everything else
@@ -577,9 +515,7 @@ def join_literals_rows(
             positives.append((index, literal))
         else:
             negatives.append(literal)
-    algo = (
-        DEFAULT_JOIN if join_algo is None else validate_join_algo(join_algo)
-    )
+    algo = (config or EngineConfig()).join_algo
     seed_columnar: Optional[ColumnarRelation] = None
     if initial is not None:
         if binding:
@@ -756,7 +692,7 @@ def join_literals_batch(
     holds: HoldsTest,
     planner: Optional[Planner] = None,
     chunk_size: int = BATCH_CHUNK,
-    join_algo: Optional[str] = None,
+    config: Optional[EngineConfig] = None,
 ) -> Iterator[Substitution]:
     """Set-at-a-time counterpart of :func:`join_literals`: the
     substitution seam over :func:`join_literals_rows`. Semantically
@@ -764,7 +700,7 @@ def join_literals_batch(
     range-restriction error)."""
     for schema, rows in join_literals_rows(
         literals, binding, probe, holds, planner, chunk_size,
-        join_algo=join_algo,
+        config=config,
     ):
         for row in rows:
             yield Substitution.trusted(dict(zip(schema, row)))
@@ -776,39 +712,103 @@ def join_body(
     matcher: Matcher,
     holds: HoldsTest,
     planner: Optional[Planner] = None,
-    exec_mode: Optional[str] = None,
+    config: Optional[EngineConfig] = None,
     probe: Optional[BatchProbe] = None,
-    join_algo: Optional[str] = None,
 ) -> Iterator[Substitution]:
-    """Solve a rule body under the selected execution model.
+    """Solve a rule body under the configured execution model.
 
     ``"batch"`` runs :func:`join_literals_batch` over *probe* (derived
     from *matcher* when the caller has no batched access path);
     ``"tuple"`` — or a *binding* that maps variables to non-constants —
-    runs the :func:`join_literals` oracle. *join_algo* picks the batch
-    path's join algorithm (:data:`JOIN_ALGOS`); the tuple oracle
-    ignores it. An unknown *exec_mode* or *join_algo* fails here, at
-    the seam, with a one-line error naming the choices — never by
-    silently running the wrong path.
+    runs the :func:`join_literals` oracle, which ignores
+    ``config.join_algo``.
     """
-    exec_mode = (
-        DEFAULT_EXEC if exec_mode is None else validate_exec(exec_mode)
-    )
-    join_algo = (
-        DEFAULT_JOIN if join_algo is None else validate_join_algo(join_algo)
-    )
-    if exec_mode == "batch":
+    config = config or EngineConfig()
+    if config.exec_mode == "batch":
         if all(
             isinstance(term, Constant) for _, term in binding.items()
         ):
             if probe is None:
                 probe = probe_from_matcher(matcher)
             return join_literals_batch(
-                literals, binding, probe, holds, planner,
-                join_algo=join_algo,
+                literals, binding, probe, holds, planner, config=config
             )
         _TUPLE_FALLBACKS.inc()
         trace = current_trace()
         if trace is not None:
             trace.join["tuple_fallbacks"] += 1
     return join_literals(literals, binding, matcher, holds, planner)
+
+
+def derive_heads(
+    head: Atom,
+    body: Sequence[Literal],
+    source,
+    planner: Optional[Planner],
+    config: EngineConfig,
+    delta_position: int = -1,
+    delta=None,
+) -> List[Atom]:
+    """One rule application of bottom-up evaluation: the instances of
+    *head* for every solution of *body* against *source* (possibly
+    already known facts).
+
+    With a *delta* store the positive literal at *delta_position* is
+    restricted to it — one occurrence of a semi-naive round. The batch
+    model seeds the pipeline from the delta occurrence's rows (a
+    supplementary predicate's new tuples, or any derived predicate's)
+    and builds heads straight from the value rows; the tuple oracle
+    routes that occurrence's matcher to *delta* and tells the planner
+    the occurrence is as small as the round's new facts, not the
+    predicate's full extent."""
+    if config.exec_mode == "batch":
+        literals = body
+        initial: Optional[ColumnarRelation] = None
+        if delta is not None:
+            pattern = body[delta_position].atom
+            delta_rows = rows_from_source(delta, pattern)
+            if not delta_rows:
+                return []
+            literals = [
+                *body[:delta_position], *body[delta_position + 1:]
+            ]
+            # The delta relation enters columnar: the wcoj path
+            # consumes the columns directly, the hash path re-rows
+            # them once at the seam.
+            initial = ColumnarRelation.from_rows(
+                pattern_variables(pattern), delta_rows
+            )
+        derived: List[Atom] = []
+        build = None
+        for schema, rows in join_literals_rows(
+            literals,
+            Substitution.empty(),
+            probe_from_source(source),
+            source.contains,
+            planner,
+            initial=initial,
+            config=config,
+        ):
+            if build is None:
+                build = atom_builder(head, schema)
+            derived.extend(map(build, rows))
+        return derived
+
+    def matcher(index: int, pattern: Atom) -> Iterator[Substitution]:
+        return substitutions_from_source(
+            delta if index == delta_position else source, pattern
+        )
+
+    if delta is not None and planner is not None:
+        source_estimate = source_cardinality(source)
+        planner = planner.with_cardinality(
+            lambda index, atom: delta.estimate(atom)
+            if index == delta_position
+            else source_estimate(index, atom)
+        )
+    return [
+        head.substitute(binding)
+        for binding in join_literals(
+            body, Substitution.empty(), matcher, source.contains, planner
+        )
+    ]

@@ -73,6 +73,7 @@ from __future__ import annotations
 import warnings
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro.config import EngineConfig
 from repro.datalog.facts import FactStore
 from repro.datalog.planner import (
     UNKNOWN_CARDINALITY,
@@ -492,29 +493,13 @@ class MagicEvaluator:
         self,
         facts,
         program: Program,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
-        from repro.config import resolve_config
-
-        config = resolve_config(
-            config,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-            warn=False,
-        )
+        config = config or EngineConfig()
         self.config = config
-        plan = config.plan
         self.facts = facts
         self.program = program
-        self.plan = plan
-        self.exec_mode = config.exec_mode
-        self.join_algo = config.join_algo
-        self.supplementary = config.supplementary
         # SIP chooser: the session's join plan over EDB statistics.
         # An intensional subgoal's extent is unknown at rewrite time —
         # the EDB store would report it as empty (cardinality 0) and
@@ -529,9 +514,9 @@ class MagicEvaluator:
                 return UNKNOWN_CARDINALITY
             return edb_estimate(index, atom)
 
-        self._sip_planner = make_planner(plan, facts).with_cardinality(
-            estimator
-        )
+        self._sip_planner = make_planner(
+            config.plan, facts
+        ).with_cardinality(estimator)
         self._rewrites: Dict[Tuple[str, str], MagicProgram] = {}
         self.declined: Dict[Tuple[str, str], str] = {}
         self._stores: Dict[Tuple[str, str], FactStore] = {}
@@ -562,13 +547,13 @@ class MagicEvaluator:
                 if trace is None:
                     rewrite = magic_rewrite(
                         self.program, pattern, self._sip_planner,
-                        self.supplementary,
+                        self.config.supplementary,
                     )
                 else:
                     with trace.phase("rewrite"):
                         rewrite = magic_rewrite(
                             self.program, pattern, self._sip_planner,
-                            self.supplementary,
+                            self.config.supplementary,
                         )
             except MagicRewriteError as error:
                 self.declined[key] = str(error)
@@ -645,7 +630,7 @@ class MagicEvaluator:
         demanded slice). Strata run lowest-first, so negative adorned
         subgoals are settled before any rule tests them."""
         view = _DemandView(self.facts, store)
-        planner = make_planner(self.plan, view)
+        planner = make_planner(self.config.plan, view)
         self.saturation_passes += 1
         _SATURATION_PASSES.inc()
         trace = current_trace()
@@ -669,7 +654,7 @@ class MagicEvaluator:
             while len(delta):
                 derived = _derive_round(
                     view, rules, set(delta.predicates()), delta, planner,
-                    self.exec_mode, self.join_algo,
+                    self.config,
                 )
                 self.derivations += len(derived)
                 _DERIVATIONS.inc(len(derived))
@@ -694,7 +679,7 @@ class MagicEvaluator:
         ``layer.metric`` names (see :mod:`repro.obs.metrics`) — the
         per-instance view of the process-wide ``magic.*`` series."""
         return {
-            "magic.supplementary": int(self.supplementary),
+            "magic.supplementary": int(self.config.supplementary),
             "magic.rewrites": len(self._rewrites),
             "magic.declined": len(self.declined),
             "magic.seeds": len(self._seeded),

@@ -47,9 +47,6 @@ from repro.logic.formulas import Atom, Literal
 from repro.logic.terms import Variable
 from repro.obs.trace import current_trace
 
-PLANS = ("greedy", "source")
-DEFAULT_PLAN = "greedy"
-
 # Estimated matches for a positive literal, given its original body
 # index and its (partially instantiated) atom.
 CardinalityEstimator = Callable[[int, Atom], int]
@@ -62,12 +59,6 @@ UNKNOWN_CARDINALITY = 1 << 30
 # A positive literal tagged with its original body index (the index
 # keys the caller's matcher, e.g. semi-naive delta restriction).
 IndexedLiteral = Tuple[int, Literal]
-
-
-def validate_plan(plan: str) -> str:
-    if plan not in PLANS:
-        raise ValueError(f"unknown plan {plan!r}; pick one of {PLANS}")
-    return plan
 
 
 class Planner:
@@ -186,8 +177,10 @@ _SOURCE_PLANNER = SourcePlanner()
 
 
 def make_planner(plan: str, source=None) -> Planner:
-    """The planner implementing *plan* over *source*'s statistics."""
-    validate_plan(plan)
+    """The planner implementing *plan* (an ``EngineConfig.plan`` value)
+    over *source*'s statistics."""
     if plan == "source":
         return _SOURCE_PLANNER
-    return GreedyPlanner(source_cardinality(source))
+    if plan == "greedy":
+        return GreedyPlanner(source_cardinality(source))
+    raise ValueError(f"unknown plan {plan!r}")

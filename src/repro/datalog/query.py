@@ -36,14 +36,9 @@ Three strategies are available:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.config import (  # noqa: F401  (STRATEGIES re-exported: old home)
-    STRATEGIES,
-    EngineConfig,
-    resolve_config,
-    validate_strategy,
-)
+from repro.config import EngineConfig
 from repro.datalog.bottomup import evaluate_stratum
 from repro.datalog.facts import FactStore
 from repro.datalog.joins import (
@@ -130,32 +125,14 @@ class QueryEngine:
         self,
         facts,
         program: Program,
-        strategy: Union[EngineConfig, str, None] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         *,
         config: Optional[EngineConfig] = None,
         result_cache: Optional[ResultCache] = None,
     ):
-        config = resolve_config(
-            config if config is not None else strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-        )
+        config = config or EngineConfig()
         self.config = config
         self.facts = facts
         self.program = program
-        # Loose-knob attributes kept for backward compatibility (and
-        # internal brevity); `config` is the source of truth.
-        self.strategy = config.strategy
-        self.plan = config.plan
-        self.exec_mode = config.exec_mode
-        self.join_algo = config.join_algo
-        # Whether the magic rewrite shares rule prefixes through
-        # supplementary predicates; inert for the other strategies.
-        self.supplementary = config.supplementary
         # Derived-result cache. A shared instance (the transaction
         # manager's, invalidated from DRed change sets) arrives via
         # result_cache; a standalone engine with config.cache owns a
@@ -228,7 +205,7 @@ class QueryEngine:
             stratum_preds = {r.head.pred for r in rules}
             evaluate_stratum(
                 self._view, rules, stratum_preds, self._planner,
-                self.exec_mode, self.join_algo,
+                self.config,
             )
             # A stratum is final once saturated (stratified semantics),
             # so its extents become usable statistics immediately.
@@ -387,9 +364,8 @@ class QueryEngine:
             matcher,
             self.holds,
             self._planner,
-            exec_mode=self.exec_mode,
+            config=self.config,
             probe=probe,
-            join_algo=self.join_algo,
         )
 
     # -- formula evaluation ------------------------------------------------------------------

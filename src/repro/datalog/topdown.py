@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.config import EngineConfig
 from repro.datalog.joins import join_body
 from repro.datalog.planner import (
     UNKNOWN_CARDINALITY,
@@ -55,26 +56,13 @@ class TabledEvaluator:
         self,
         facts,
         program: Program,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
-        from repro.config import resolve_config
-
-        config = resolve_config(
-            config, plan=plan, exec_mode=exec_mode, warn=False
-        )
+        config = config or EngineConfig()
         self.config = config
-        plan, exec_mode = config.plan, config.exec_mode
         self.facts = facts
         self.program = program
-        # Body joins dispatch through join_body with the head unifier
-        # folded into the rule up front (standardized apart), so the
-        # binding seam is always relational and batch execution never
-        # falls back to tuple joins.
-        self.exec_mode = exec_mode
-        self.join_algo = config.join_algo
         self._tables: Dict[_TableKey, Set[Atom]] = {}
         self._complete: Set[_TableKey] = set()
         self._in_progress: Set[_TableKey] = set()
@@ -93,7 +81,7 @@ class TabledEvaluator:
         # intensional predicate's extent is unknown regardless of how
         # many extensional facts share its name.
         self._solved_preds: Set[str] = set()
-        self.planner = make_planner(plan, facts).with_cardinality(
+        self.planner = make_planner(config.plan, facts).with_cardinality(
             lambda index, atom: self.estimate(atom)
         )
 
@@ -212,8 +200,8 @@ class TabledEvaluator:
             # the rule up front, so the join starts from the empty
             # (trivially relational) binding and stays on the batch
             # path even when the unifier maps variables to variables —
-            # the shape that used to force a tuple fallback
-            # (JOIN_COUNTERS.tuple_fallbacks pins "no fallback" on the
+            # the shape that used to force a tuple fallback (the
+            # join.tuple_fallbacks counter pins "no fallback" on the
             # recursive workloads).
             head = renamed.head.substitute(unifier)
             body = tuple(l.substitute(unifier) for l in renamed.body)
@@ -227,8 +215,7 @@ class TabledEvaluator:
                 matcher,
                 self._negation_holds,
                 self.planner,
-                exec_mode=self.exec_mode,
-                join_algo=self.join_algo,
+                config=self.config,
             ):
                 fact = head.substitute(binding)
                 if fact.is_ground() and fact not in table:

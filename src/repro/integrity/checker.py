@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Union
 
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.integrity.delta_eval import DeltaEvaluator
 from repro.integrity.dependencies import DependencyIndex
@@ -135,46 +136,23 @@ class IntegrityChecker:
     whether the *updated* database still would, without applying the
     update.
 
-    *strategy* selects the query engines used throughout — both the
+    *config* selects the query engines used throughout — both the
     ``delta``/``new`` propagation state and the evaluation of residual
-    constraint instances. ``"magic"`` makes the relevant-constraint
-    phase demand-driven: each instantiated constraint query touches
-    only the tuples the magic-sets rewrite demands for it, instead of
-    materializing the full dependency closure of every predicate the
-    constraint mentions. Both knobs are validated up front so a typo
-    fails with a one-line error, not a traceback from deep inside
-    evaluation.
+    constraint instances. ``strategy="magic"`` makes the
+    relevant-constraint phase demand-driven: each instantiated
+    constraint query touches only the tuples the magic-sets rewrite
+    demands for it, instead of materializing the full dependency
+    closure of every predicate the constraint mentions.
     """
 
     def __init__(
         self,
         database: DeductiveDatabase,
-        strategy=None,
-        plan=None,
-        exec_mode=None,
-        supplementary=None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
-        from repro.config import resolve_config
-
-        config = resolve_config(
-            config if config is not None else strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-        )
         self.database = database
-        self.config = config
-        # Loose-knob attributes kept for backward compatibility;
-        # `config` is the source of truth.
-        self.strategy = config.strategy
-        self.plan = config.plan
-        self.exec_mode = config.exec_mode
-        self.join_algo = config.join_algo
-        # Prefix sharing in the magic rewrite (inert unless
-        # strategy="magic"); False keeps the classic rewrite oracle.
-        self.supplementary = config.supplementary
+        self.config = config or EngineConfig()
         # Fact-independent structures, shared across checks.
         self.dependency_index = DependencyIndex(database.program)
         self.relevance = RelevanceIndex(database.constraints)
@@ -590,9 +568,8 @@ class IntegrityChecker:
             matcher,
             body_state.holds,
             body_state.planner,
-            exec_mode=self.exec_mode,
+            config=self.config,
             probe=probe,
-            join_algo=self.join_algo,
         ):
             head = rule.head.substitute(answer)
             if head in seen:

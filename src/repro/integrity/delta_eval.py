@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Set, Union
 
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.joins import join_body
 from repro.integrity.dependencies import DependencyIndex, Signature
@@ -50,14 +51,10 @@ class DeltaEvaluator:
         updates: Union[str, Literal, "Transaction", Sequence[Literal]],
         index: Optional[DependencyIndex] = None,
         restrict_to: Optional[Set[Signature]] = None,
-        strategy: Optional[str] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         new_database: Optional[DeductiveDatabase] = None,
         seeds: Optional[Sequence[Literal]] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
         """By default the updated state is the fact overlay of
         *updates*. Rule updates (Section 3.2: "treated like conditional
@@ -66,24 +63,15 @@ class DeltaEvaluator:
         changes the rule change causes directly; propagation and the
         truth-change tests then run between the two states as usual.
         """
-        from repro.config import resolve_config
         from repro.integrity.transactions import Transaction
 
-        config = resolve_config(
-            config if config is not None else strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-            warn=False,
-        )
+        config = config or EngineConfig()
         self.config = config
         self.database = database
         self.updates = tuple(Transaction.coerce(updates).net())
         self.index = index if index is not None else DependencyIndex(
             database.program
         )
-        self.exec_mode = config.exec_mode
-        self.join_algo = config.join_algo
         self.old_engine = database.engine(config=config)
         if new_database is not None:
             self.new_view = new_database
@@ -187,9 +175,8 @@ class DeltaEvaluator:
                 matcher,
                 engine.holds,
                 planner,
-                exec_mode=self.exec_mode,
+                config=self.config,
                 probe=probe,
-                join_algo=self.join_algo,
             ):
                 candidate = head.substitute(answer)
                 if not candidate.atom.is_ground():  # pragma: no cover

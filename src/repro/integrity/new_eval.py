@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence, Union
 
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.logic.formulas import Atom, Formula, Literal
 from repro.logic.substitution import Substitution
@@ -28,29 +29,16 @@ class NewEvaluator:
         self,
         database: DeductiveDatabase,
         updates: Union[Literal, Sequence[Literal]],
-        strategy: Optional[str] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         *,
-        config=None,
+        config: Optional[EngineConfig] = None,
     ):
-        from repro.config import resolve_config
-
-        config = resolve_config(
-            config if config is not None else strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-            warn=False,
-        )
         if isinstance(updates, Literal):
             updates = [updates]
-        self.config = config
+        self.config = config or EngineConfig()
         self.database = database
         self.updates = tuple(updates)
         self.view = database.updated(list(updates))
-        self.engine = self.view.engine(config=config)
+        self.engine = self.view.engine(config=self.config)
 
     def evaluate(
         self, formula: Formula, binding: Substitution = Substitution.empty()

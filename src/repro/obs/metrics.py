@@ -116,8 +116,8 @@ class Counter:
             self.value += amount
 
     def set(self, value: int) -> None:
-        """Force the count (used by the legacy ``JOIN_COUNTERS`` reset
-        shim; new code should only ever :meth:`inc`)."""
+        """Force the count (:meth:`MetricsRegistry.reset`, tests only;
+        production code only ever calls :meth:`inc`)."""
         with self._lock:
             self.value = value
 

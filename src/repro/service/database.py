@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from typing import Optional, Union
 
-from repro.config import EngineConfig, resolve_config
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.incremental import MaintainedModel
@@ -38,22 +38,12 @@ class ManagedDatabase:
         *,
         sync: bool = True,
         method: str = "bdm",
-        strategy: Optional[str] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 0,
         commit_delay: float = 0.002,
     ):
-        config = resolve_config(
-            config,
-            strategy=strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-        )
+        config = config or EngineConfig()
         self.directory = None if directory is None else os.fspath(directory)
         self.recovered = None
         if self.directory is None or not directory_initialized(self.directory):

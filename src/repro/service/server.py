@@ -55,7 +55,7 @@ import time
 from typing import Dict, Optional
 
 from repro import serialize
-from repro.config import EngineConfig, default_metrics_port, resolve_config
+from repro.config import EngineConfig, default_metrics_port
 from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_atom, parse_formula
 from repro.obs.export import MetricsExporter
@@ -134,22 +134,12 @@ class DatabaseServer:
         *,
         sync: bool = True,
         method: str = "bdm",
-        strategy: Optional[str] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 64,
         metrics_port: Optional[int] = None,
     ):
-        self.config = resolve_config(
-            config,
-            strategy=strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-        )
+        self.config = config or EngineConfig()
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self._db_options = {

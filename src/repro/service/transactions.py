@@ -69,7 +69,7 @@ import time
 from collections import deque
 from typing import Deque, List, Optional, Sequence, Set, Union
 
-from repro.config import EngineConfig, resolve_config
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.incremental import MaintainedModel
 from repro.integrity.checker import METHODS, CheckResult, IntegrityChecker
@@ -339,10 +339,6 @@ class TransactionManager:
         *,
         version: int = 0,
         method: str = "bdm",
-        strategy: Optional[str] = None,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        supplementary: Optional[bool] = None,
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 0,
@@ -352,13 +348,7 @@ class TransactionManager:
             raise ValueError(
                 f"unknown check method {method!r}; pick one of {METHODS}"
             )
-        config = resolve_config(
-            config,
-            strategy=strategy,
-            plan=plan,
-            exec_mode=exec_mode,
-            supplementary=supplementary,
-        )
+        config = config or EngineConfig()
         self.database = database
         self.model = (
             model
@@ -371,10 +361,6 @@ class TransactionManager:
         self.version = version
         self.method = method
         self.config = config
-        self.strategy = config.strategy
-        self.plan = config.plan
-        self.exec_mode = config.exec_mode
-        self.supplementary = config.supplementary
         # The manager-owned derived-result cache: shared by every
         # engine over the *committed* state (staged overlay views never
         # see it) and invalidated per predicate key from DRed's exact

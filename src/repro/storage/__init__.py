@@ -29,11 +29,9 @@ _EXPORTS = {
     "WalRecord": "repro.storage.wal",
     "WriteAheadLog": "repro.storage.wal",
     "BACKENDS": "repro.storage.backends",
-    "DEFAULT_BACKEND": "repro.storage.backends",
     "StoreBackend": "repro.storage.backends",
     "StoreCapacityError": "repro.storage.backends",
     "make_store": "repro.storage.backends",
-    "validate_backend": "repro.storage.backends",
     "ResultCache": "repro.storage.result_cache",
 }
 
@@ -58,11 +56,9 @@ def __dir__():
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
     from repro.storage.backends import (  # noqa: F401
         BACKENDS,
-        DEFAULT_BACKEND,
         StoreBackend,
         StoreCapacityError,
         make_store,
-        validate_backend,
     )
     from repro.storage.engine import RecoveredState, StorageEngine  # noqa: F401
     from repro.storage.result_cache import ResultCache  # noqa: F401

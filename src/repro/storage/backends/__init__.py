@@ -1,7 +1,7 @@
 """Fact-store backend registry.
 
-Two backends ship today, selected by ``EngineConfig.backend`` (or the
-``REPRO_BACKEND`` environment variable, mirroring ``REPRO_EXEC``):
+Two backends ship today, selected by ``EngineConfig.backend`` (whose
+default the ``REPRO_BACKEND`` environment variable overrides):
 
 * ``"dict"`` — :class:`repro.datalog.facts.FactStore`, the in-process
   reference implementation: hash-indexed Python sets, the fastest
@@ -23,25 +23,19 @@ backend classes lazily instead.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
 
+from repro.config import BACKENDS, DEFAULT_BACKEND, validate_backend
 from repro.logic.formulas import Atom
 
 from .base import (  # noqa: F401  (re-exported contract surface)
-    BACKENDS,
     GroupIndex,
     StoreBackend,
     StoreCapacityError,
     build_group_index,
     drop_from_groups,
     index_into_groups,
-    validate_backend,
 )
-
-#: Process-wide default backend; a typo'd REPRO_BACKEND aborts import
-#: with one clear error, exactly like REPRO_EXEC in the join kernel.
-DEFAULT_BACKEND = validate_backend(os.environ.get("REPRO_BACKEND", "dict"))
 
 
 def make_store(
@@ -51,8 +45,8 @@ def make_store(
     path: Optional[str] = None,
     max_facts: Optional[int] = None,
 ) -> StoreBackend:
-    """Build a fact store of the requested *backend* seeded with
-    *facts*.
+    """Build a fact store of the requested *backend* (default:
+    ``EngineConfig().backend``) seeded with *facts*.
 
     ``path`` places a sqlite store on disk (out-of-core; ignored with a
     ``ValueError`` for the dict backend, which has no file form).
@@ -76,7 +70,6 @@ def make_store(
 
 __all__ = [
     "BACKENDS",
-    "DEFAULT_BACKEND",
     "GroupIndex",
     "StoreBackend",
     "StoreCapacityError",
@@ -84,5 +77,4 @@ __all__ = [
     "drop_from_groups",
     "index_into_groups",
     "make_store",
-    "validate_backend",
 ]

@@ -46,20 +46,6 @@ from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant
 from repro.logic.unify import match
 
-#: The backend names :func:`repro.storage.backends.make_store` accepts.
-BACKENDS = ("dict", "sqlite")
-
-
-def validate_backend(backend: str) -> str:
-    """Fail fast on an unknown backend name, listing the accepted
-    values — mirrors :func:`repro.datalog.planner.validate_plan`."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; pick one of {BACKENDS}"
-        )
-    return backend
-
-
 class StoreCapacityError(RuntimeError):
     """An in-memory store exceeded its configured fact capacity.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import List, Optional, Set, Tuple, Union
 
-from repro.config import resolve_config
+from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.incremental import MaintainedModel
 from repro.integrity.transactions import Transaction
@@ -136,21 +136,14 @@ class StorageEngine:
     # -- recovery -----------------------------------------------------------------
 
     def recover(
-        self,
-        plan: Optional[str] = None,
-        exec_mode: Optional[str] = None,
-        *,
-        config=None,
+        self, *, config: Optional[EngineConfig] = None
     ) -> RecoveredState:
         """Rebuild the last committed state: snapshot + WAL replay.
 
-        *config* (an :class:`repro.config.EngineConfig`) selects the
-        maintenance plan/exec mode and the fact-store backend the
-        recovered state is materialized into.
+        *config* selects how the model is maintained and the
+        fact-store backend the recovered state is materialized into.
         """
-        config = resolve_config(
-            config, plan=plan, exec_mode=exec_mode, warn=False
-        )
+        config = config or EngineConfig()
         snapshot = load_latest_snapshot(
             self.directory, backend=config.backend
         )

@@ -5,16 +5,17 @@ end to end (the CI matrix legs):
 
 * ``REPRO_EXEC=tuple`` runs the tuple-at-a-time join oracle instead of
   the default set-at-a-time ``batch`` path
-  (:data:`repro.datalog.joins.DEFAULT_EXEC`).
+  (:data:`repro.config.DEFAULT_EXEC`).
 * ``REPRO_BACKEND=sqlite`` stores every default-constructed fact store
   out of core in SQLite instead of the in-process ``dict`` backend
-  (:data:`repro.storage.backends.DEFAULT_BACKEND`).
+  (:data:`repro.config.DEFAULT_BACKEND`).
 * ``REPRO_JOIN=wcoj`` runs the worst-case-optimal leapfrog triejoin on
   every eligible rule body instead of the ``auto`` planner default
-  (:data:`repro.datalog.joins.DEFAULT_JOIN`).
+  (:data:`repro.config.DEFAULT_JOIN`).
 
-All defaults are read at import time and every evaluator/constructor
-defaults to them, so no test needs to thread the knobs explicitly.
+All defaults are read when :mod:`repro.config` is imported and become
+``EngineConfig()``'s field defaults, which every seam falls back to, so
+no test needs to thread the knobs explicitly.
 """
 
 import os
@@ -24,8 +25,7 @@ import pytest
 # A typo'd REPRO_EXEC / REPRO_BACKEND / REPRO_JOIN fails these imports
 # (the values are validated where the defaults are read), so the whole
 # session aborts with one clear error before any test runs.
-from repro.datalog.joins import DEFAULT_EXEC, DEFAULT_JOIN
-from repro.storage.backends import DEFAULT_BACKEND
+from repro.config import DEFAULT_BACKEND, DEFAULT_EXEC, DEFAULT_JOIN
 
 
 def pytest_report_header(config):

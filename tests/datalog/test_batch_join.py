@@ -20,7 +20,6 @@ from repro.datalog.joins import (
     join_literals_batch,
     probe_from_matcher,
     probe_from_source,
-    validate_exec,
 )
 from repro.integrity.checker import IntegrityChecker
 from repro.logic.formulas import Atom, Literal
@@ -237,9 +236,9 @@ class TestKernelAgreement:
         )
         assert batch == oracle and len(oracle) == 2
 
-    def test_validate_exec_rejects_typos(self):
+    def test_exec_mode_typos_are_rejected(self):
         with pytest.raises(ValueError, match="unknown exec mode"):
-            validate_exec("vectorized")
+            EngineConfig(exec_mode="vectorized")
 
 
 def wide_counting_store(n):
@@ -414,8 +413,9 @@ class TestInitialRelation:
 
 
 class TestExecSeamValidation:
-    """Unknown exec modes fail at the seam with one line naming the
-    choices — never by silently running the wrong join path."""
+    """Unknown exec modes fail with one line naming the choices when
+    the config is built — no seam ever sees one, so none can silently
+    run the wrong join path."""
 
     def test_join_body_rejects_unknown_exec(self):
         from repro.datalog.joins import join_body
@@ -427,7 +427,7 @@ class TestExecSeamValidation:
                 Substitution.empty(),
                 lambda index, pattern: store.match_substitutions(pattern),
                 store.contains,
-                exec_mode="vectorized",
+                config=EngineConfig(exec_mode="vectorized"),
             )
 
     def test_compute_model_rejects_unknown_exec(self):
@@ -435,17 +435,28 @@ class TestExecSeamValidation:
         from repro.datalog.program import Program
 
         with pytest.raises(ValueError, match="unknown exec mode"):
-            compute_model(small_store(), Program(), exec_mode="bogus")
+            compute_model(
+                small_store(),
+                Program(),
+                config=EngineConfig(exec_mode="bogus"),
+            )
 
     def test_maintained_model_rejects_unknown_exec(self):
         from repro.datalog.incremental import MaintainedModel
         from repro.datalog.program import Program
 
         with pytest.raises(ValueError, match="unknown exec mode"):
-            MaintainedModel(small_store(), Program(), exec_mode="bogus")
+            MaintainedModel(
+                small_store(),
+                Program(),
+                config=EngineConfig(exec_mode="bogus"),
+            )
         with pytest.raises(ValueError, match="unknown exec mode"):
             MaintainedModel.from_snapshot(
-                small_store(), Program(), small_store(), exec_mode="bogus"
+                small_store(),
+                Program(),
+                small_store(),
+                config=EngineConfig(exec_mode="bogus"),
             )
 
     def test_evaluators_reject_unknown_exec(self):
@@ -454,20 +465,29 @@ class TestExecSeamValidation:
         from repro.datalog.topdown import TabledEvaluator
 
         with pytest.raises(ValueError, match="unknown exec mode"):
-            TabledEvaluator(small_store(), Program(), exec_mode="bogus")
+            TabledEvaluator(
+                small_store(),
+                Program(),
+                config=EngineConfig(exec_mode="bogus"),
+            )
         with pytest.raises(ValueError, match="unknown exec mode"):
-            MagicEvaluator(small_store(), Program(), exec_mode="bogus")
+            MagicEvaluator(
+                small_store(),
+                Program(),
+                config=EngineConfig(exec_mode="bogus"),
+            )
 
     def test_engine_rejects_unknown_exec(self):
         db = DeductiveDatabase(small_store())
         with pytest.raises(ValueError, match="unknown exec mode"):
             db.engine(config=EngineConfig(exec_mode="bogus"))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown exec mode"):
-                db.engine("lazy", "greedy", "bogus")
+        # The loose spellings are gone, not silently ignored.
+        with pytest.raises(TypeError):
+            db.engine("lazy", "greedy", "bogus")
 
     def test_checker_rejects_unknown_exec(self):
         db = DeductiveDatabase(small_store())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown exec mode"):
-                IntegrityChecker(db, exec_mode="bogus")
+        with pytest.raises(ValueError, match="unknown exec mode"):
+            IntegrityChecker(db, config=EngineConfig(exec_mode="bogus"))
+        with pytest.raises(TypeError):
+            IntegrityChecker(db, exec_mode="bogus")

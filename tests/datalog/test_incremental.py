@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from repro.config import EngineConfig
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.incremental import MaintainedModel
@@ -289,7 +290,11 @@ class TestPreUpdateViewBatching:
         edb = FactStore(
             parse_fact(f"edge(n{i}, n{i + 1})") for i in range(n)
         )
-        maintained = MaintainedModel(edb, prog, "greedy", "batch")
+        maintained = MaintainedModel(
+            edb,
+            prog,
+            config=EngineConfig(plan="greedy", exec_mode="batch"),
+        )
         counting = _CountingStore(maintained.model)
         maintained.model = counting
         return maintained, counting, prog

@@ -16,7 +16,6 @@ from repro.datalog.magic import (
     magic_rewrite,
 )
 from repro.datalog.program import Program, Rule
-from repro.datalog.query import validate_strategy
 from repro.logic.parser import parse_atom, parse_rule
 from repro.logic.terms import Constant, Variable
 
@@ -244,8 +243,12 @@ class TestSupplementaryRewrite:
             facts.add(parse_atom(f"par(g{i}, g{i + 1})"))
         for pattern_text in ("anc(g3, Y)", "anc(X, g7)", "anc(g0, g5)"):
             pattern = parse_atom(pattern_text)
-            sup = MagicEvaluator(facts, ANCESTOR, supplementary=True)
-            oracle = MagicEvaluator(facts, ANCESTOR, supplementary=False)
+            sup = MagicEvaluator(
+                facts, ANCESTOR, config=EngineConfig(supplementary=True)
+            )
+            oracle = MagicEvaluator(
+                facts, ANCESTOR, config=EngineConfig(supplementary=False)
+            )
             assert sorted(map(str, sup.answers(pattern))) == sorted(
                 map(str, oracle.answers(pattern))
             )
@@ -263,14 +266,20 @@ class TestSupplementaryRewrite:
         )
         for constant in "abcd":
             pattern = parse_atom(f"p({constant})")
-            sup = MagicEvaluator(facts, program, supplementary=True)
-            oracle = MagicEvaluator(facts, program, supplementary=False)
+            sup = MagicEvaluator(
+                facts, program, config=EngineConfig(supplementary=True)
+            )
+            oracle = MagicEvaluator(
+                facts, program, config=EngineConfig(supplementary=False)
+            )
             assert sup.holds(pattern) == oracle.holds(pattern)
 
     def test_evaluator_records_mode_in_stats(self):
         evaluator = MagicEvaluator(FactStore(), ANCESTOR)
         assert evaluator.stats()["magic.supplementary"] == 1
-        oracle = MagicEvaluator(FactStore(), ANCESTOR, supplementary=False)
+        oracle = MagicEvaluator(
+            FactStore(), ANCESTOR, config=EngineConfig(supplementary=False)
+        )
         assert oracle.stats()["magic.supplementary"] == 0
 
 
@@ -376,7 +385,7 @@ class TestEngineIntegration:
 
     def test_strategy_validation_lists_choices(self):
         with pytest.raises(ValueError, match="magic"):
-            validate_strategy("bogus")
+            EngineConfig(strategy="bogus")
 
     def test_engine_answers_agree_with_lazy(self):
         db = DeductiveDatabase.from_source(self.SOURCE)
@@ -414,12 +423,10 @@ class TestEngineIntegration:
         from repro.integrity.checker import IntegrityChecker
 
         db = DeductiveDatabase.from_source(self.SOURCE)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="strategy"):
-                IntegrityChecker(db, strategy="bogus")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="plan"):
-                IntegrityChecker(db, plan="bogus")
+        with pytest.raises(ValueError, match="strategy"):
+            IntegrityChecker(db, config=EngineConfig(strategy="bogus"))
+        with pytest.raises(ValueError, match="plan"):
+            IntegrityChecker(db, config=EngineConfig(plan="bogus"))
 
 
 class TestIncrementalDemandMaintenance:

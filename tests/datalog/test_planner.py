@@ -12,7 +12,6 @@ from repro.datalog.planner import (
     SourcePlanner,
     make_planner,
     source_cardinality,
-    validate_plan,
 )
 from repro.datalog.program import Program, Rule
 from repro.datalog.query import QueryEngine
@@ -142,7 +141,7 @@ class TestGreedyOrdering:
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(ValueError, match="unknown plan"):
-            validate_plan("optimal")
+            EngineConfig(plan="optimal")
         with pytest.raises(ValueError, match="unknown plan"):
             make_planner("optimal", FactStore())
         with pytest.raises(ValueError, match="unknown plan"):
@@ -351,8 +350,12 @@ class TestEngineKnob:
 
     def test_compute_model_plans_agree(self):
         db = self._database()
-        greedy = compute_model(db.facts, db.program, "greedy")
-        source = compute_model(db.facts, db.program, "source")
+        greedy = compute_model(
+            db.facts, db.program, config=EngineConfig(plan="greedy")
+        )
+        source = compute_model(
+            db.facts, db.program, config=EngineConfig(plan="source")
+        )
         assert set(greedy) == set(source)
 
     def test_answers_conjunction_is_order_independent(self):

@@ -155,8 +155,8 @@ class TestLazyMaterialization:
             QueryEngine(
                 store(), Program(), config=EngineConfig(strategy="psychic")
             )
-        # The legacy positional seam still validates (and warns).
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
+        # The positional strategy-string form is gone, not ignored.
+        with pytest.raises(TypeError):
             QueryEngine(store(), Program(), "psychic")
 
 

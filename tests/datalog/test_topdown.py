@@ -3,6 +3,7 @@ with bottom-up evaluation on shared programs."""
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -10,6 +11,7 @@ from repro.datalog.topdown import TabledEvaluator
 from repro.logic.formulas import Atom
 from repro.logic.parser import parse_atom, parse_fact, parse_rule
 from repro.logic.terms import Constant, Variable
+from repro.obs.metrics import default_registry
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -174,16 +176,20 @@ class TestRelationalJoins:
     joining, so batch execution never falls back to tuple joins — even
     on recursive rules, whose unifiers bind variables to variables."""
 
-    def drive(self, facts, prog, queries):
-        from repro.datalog.joins import JOIN_COUNTERS
+    @staticmethod
+    def tuple_fallbacks():
+        return default_registry().snapshot()["join.tuple_fallbacks"]
 
-        JOIN_COUNTERS.reset()
-        ev = TabledEvaluator(facts, prog, exec_mode="batch")
+    def drive(self, facts, prog, queries):
+        before = self.tuple_fallbacks()
+        ev = TabledEvaluator(
+            facts, prog, config=EngineConfig(exec_mode="batch")
+        )
         model = compute_model(facts, prog)
         for query in queries:
             pattern = parse_atom(query)
             assert set(ev.solve(pattern)) == set(model.match(pattern))
-        return JOIN_COUNTERS.tuple_fallbacks
+        return self.tuple_fallbacks() - before
 
     def test_no_fallback_on_transitive_closure(self):
         assert self.drive(
@@ -230,20 +236,20 @@ class TestRelationalJoins:
     def test_counter_does_count_variable_bindings(self):
         """The pin above is only meaningful if the counter fires when a
         binding really does map variables to variables."""
-        from repro.datalog.joins import JOIN_COUNTERS, join_body
+        from repro.datalog.joins import join_body
         from repro.logic.formulas import Literal
         from repro.logic.substitution import Substitution
 
         facts = store("p(a)", "p(b)")
-        JOIN_COUNTERS.reset()
+        before = self.tuple_fallbacks()
         answers = list(
             join_body(
                 [Literal(parse_atom("p(X)"))],
                 Substitution({Variable("H"): Variable("X")}),
                 lambda index, pattern: facts.match_substitutions(pattern),
                 facts.contains,
-                exec_mode="batch",
+                config=EngineConfig(exec_mode="batch"),
             )
         )
         assert len(answers) == 2
-        assert JOIN_COUNTERS.tuple_fallbacks == 1
+        assert self.tuple_fallbacks() - before == 1

@@ -12,16 +12,14 @@ every seam with one line naming the choices.
 
 import pytest
 
-from repro.config import EngineConfig
+from repro.config import JOIN_ALGOS, EngineConfig
 from repro.datalog.columnar import ColumnarRelation
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.joins import (
-    JOIN_ALGOS,
     join_body,
     join_literals_rows,
     probe_from_source,
-    validate_join_algo,
 )
 from repro.datalog.program import Program, Rule
 from repro.datalog.wcoj import (
@@ -365,7 +363,7 @@ class TestDispatcherCounters:
                 Substitution.empty(),
                 probe_from_source(store),
                 store.contains,
-                join_algo=algo,
+                config=EngineConfig(join_algo=algo),
             )
         )
 
@@ -471,7 +469,7 @@ class TestDeltaSeeding:
         return frozenset(
             compute_model(
                 triangle_store(), program,
-                exec_mode="batch", join_algo=algo,
+                config=EngineConfig(exec_mode="batch", join_algo=algo),
             )
         )
 
@@ -491,14 +489,15 @@ class TestDeltaSeeding:
 
 
 class TestJoinAlgoSeamValidation:
-    """Unknown join algorithms fail at the seam with one line naming
-    the choices — never by silently running the wrong kernel."""
+    """Unknown join algorithms fail with one line naming the choices
+    when the config is built — no seam ever sees one, so none can
+    silently run the wrong kernel."""
 
-    def test_validate_join_algo(self):
+    def test_engine_config_validates_join_algo(self):
         for algo in JOIN_ALGOS:
-            assert validate_join_algo(algo) == algo
+            assert EngineConfig(join_algo=algo).join_algo == algo
         with pytest.raises(ValueError, match="unknown join algo"):
-            validate_join_algo("leapfrog")
+            EngineConfig(join_algo="leapfrog")
 
     def test_join_literals_rows_rejects_unknown_algo(self):
         store = triangle_store()
@@ -509,7 +508,7 @@ class TestJoinAlgoSeamValidation:
                     Substitution.empty(),
                     probe_from_source(store),
                     store.contains,
-                    join_algo="bogus",
+                    config=EngineConfig(join_algo="bogus"),
                 )
             )
 
@@ -521,7 +520,7 @@ class TestJoinAlgoSeamValidation:
                 Substitution.empty(),
                 lambda index, pattern: store.match_substitutions(pattern),
                 store.contains,
-                join_algo="bogus",
+                config=EngineConfig(join_algo="bogus"),
             )
 
     def test_engine_config_rejects_unknown_algo(self):
@@ -532,29 +531,47 @@ class TestJoinAlgoSeamValidation:
         from repro.datalog.bottomup import compute_model
 
         with pytest.raises(ValueError, match="unknown join algo"):
-            compute_model(FactStore(), Program(), join_algo="bogus")
+            compute_model(
+                FactStore(),
+                Program(),
+                config=EngineConfig(join_algo="bogus"),
+            )
 
     def test_evaluate_stratum_rejects_unknown_algo(self):
         from repro.datalog.bottomup import evaluate_stratum
 
         with pytest.raises(ValueError, match="unknown join algo"):
-            evaluate_stratum(FactStore(), [], set(), join_algo="bogus")
+            evaluate_stratum(
+                FactStore(),
+                [],
+                set(),
+                config=EngineConfig(join_algo="bogus"),
+            )
 
     def test_maintained_model_rejects_unknown_algo(self):
         from repro.datalog.incremental import MaintainedModel
 
         with pytest.raises(ValueError, match="unknown join algo"):
-            MaintainedModel(FactStore(), Program(), join_algo="bogus")
+            MaintainedModel(
+                FactStore(),
+                Program(),
+                config=EngineConfig(join_algo="bogus"),
+            )
         with pytest.raises(ValueError, match="unknown join algo"):
             MaintainedModel.from_snapshot(
-                FactStore(), Program(), FactStore(), join_algo="bogus"
+                FactStore(),
+                Program(),
+                FactStore(),
+                config=EngineConfig(join_algo="bogus"),
             )
 
     def test_engine_rejects_unknown_algo(self):
         db = DeductiveDatabase(FactStore())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="unknown join algo"):
-                db.engine(join_algo="bogus")
+        with pytest.raises(ValueError, match="unknown join algo"):
+            db.engine(config=EngineConfig(join_algo="bogus"))
+        # The loose spelling is gone, not silently ignored.
+        with pytest.raises(TypeError):
+            db.engine(join_algo="bogus")
 
     def test_cli_rejects_unknown_algo(self, capsys):
         from repro.cli import build_parser

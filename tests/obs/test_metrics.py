@@ -130,14 +130,3 @@ class TestDefaultRegistry:
             "analysis.warnings",
         }
         assert expected <= names
-
-    def test_join_counters_alias_tracks_registry(self):
-        from repro.datalog.joins import JOIN_COUNTERS
-
-        counter = default_registry().counter("join.tuple_fallbacks")
-        start = counter.value
-        assert JOIN_COUNTERS.tuple_fallbacks == start
-        counter.inc()
-        assert JOIN_COUNTERS.tuple_fallbacks == start + 1
-        JOIN_COUNTERS.tuple_fallbacks = start
-        assert counter.value == start

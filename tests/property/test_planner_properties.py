@@ -82,15 +82,23 @@ class TestPlanIndependence:
     @given(programs(), edbs())
     @settings(max_examples=60, deadline=None)
     def test_bottom_up_models_identical(self, program, edb):
-        greedy = compute_model(edb, program, "greedy")
-        source = compute_model(edb, program, "source")
+        greedy = compute_model(
+            edb, program, config=EngineConfig(plan="greedy")
+        )
+        source = compute_model(
+            edb, program, config=EngineConfig(plan="source")
+        )
         assert set(greedy) == set(source)
 
     @given(programs(), edbs())
     @settings(max_examples=40, deadline=None)
     def test_topdown_answers_identical(self, program, edb):
-        greedy = TabledEvaluator(edb, program, "greedy")
-        source = TabledEvaluator(edb, program, "source")
+        greedy = TabledEvaluator(
+            edb, program, config=EngineConfig(plan="greedy")
+        )
+        source = TabledEvaluator(
+            edb, program, config=EngineConfig(plan="source")
+        )
         X, Y = Variable("X"), Variable("Y")
         for pred, arity in QUERY_PREDS:
             pattern = Atom(pred, (X, Y)[:arity])
@@ -120,6 +128,13 @@ class TestPlanIndependence:
         db = DeductiveDatabase(edb.copy(), program)
         db.add_constraint("forall X: node(X) -> p(X)")
         db.add_constraint("forall X, Y: r(X, Y), p(X) -> q(Y)")
-        greedy = {c.id for c in db.violated_constraints(plan="greedy")}
-        source = {c.id for c in db.violated_constraints(plan="source")}
+        greedy, source = (
+            {
+                c.id
+                for c in db.violated_constraints(
+                    config=EngineConfig(strategy="model", plan=plan)
+                )
+            }
+            for plan in ("greedy", "source")
+        )
         assert greedy == source

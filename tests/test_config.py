@@ -1,14 +1,20 @@
 """EngineConfig: one frozen object, validated in one place, and the
-resolve_config deprecation shim every legacy seam routes through."""
+only way any engine seam is configured."""
 
+import ast
 import dataclasses
+import inspect
+import pathlib
 
 import pytest
 
-from repro.config import EngineConfig, resolve_config
-from repro.datalog.joins import DEFAULT_EXEC
-from repro.datalog.planner import DEFAULT_PLAN
-from repro.storage.backends import DEFAULT_BACKEND
+import repro
+from repro.config import (
+    DEFAULT_BACKEND,
+    DEFAULT_EXEC,
+    DEFAULT_PLAN,
+    EngineConfig,
+)
 
 
 class TestValidation:
@@ -32,11 +38,22 @@ class TestValidation:
             ({"cache": 1}, "cache"),
             ({"cache_size": 0}, "cache_size"),
             ({"cache_size": True}, "cache_size"),
+            ({"slow_query_ms": -1}, "slow_query_ms"),
+            ({"slow_query_ms": float("nan")}, "slow_query_ms"),
+            ({"slow_query_ms": float("inf")}, "slow_query_ms"),
         ],
     )
     def test_every_knob_validated_in_one_place(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("raw", ["nan", "-1", "inf", "soon"])
+    def test_slow_query_env_override_is_validated(self, monkeypatch, raw):
+        from repro.config import _default_slow_query_ms
+
+        monkeypatch.setenv("REPRO_SLOW_QUERY_MS", raw)
+        with pytest.raises(ValueError, match="REPRO_SLOW_QUERY_MS"):
+            _default_slow_query_ms()
 
     def test_frozen_and_hashable(self):
         config = EngineConfig()
@@ -61,49 +78,93 @@ class TestValidation:
         assert EngineConfig(strategy="magic").key() != a.key()
 
 
-class TestResolveShim:
-    def test_config_passes_through(self):
-        config = EngineConfig(strategy="magic")
-        assert resolve_config(config) is config
+SRC = pathlib.Path(repro.__file__).parent
+KNOBS = {"strategy", "plan", "exec_mode", "supplementary", "join_algo"}
 
-    def test_none_gives_defaults(self):
-        assert resolve_config(None) == EngineConfig()
 
-    def test_base_supplies_defaults(self):
-        base = EngineConfig(strategy="model")
-        assert resolve_config(None, base=base) is base
+def seams():
+    from repro.datalog.bottomup import compute_model
+    from repro.datalog.magic import MagicEvaluator
+    from repro.datalog.query import QueryEngine
+    from repro.datalog.topdown import TabledEvaluator
+    from repro.integrity.delta_eval import DeltaEvaluator
+    from repro.integrity.new_eval import NewEvaluator
+    from repro.service.server import DatabaseServer
+    from repro.service.transactions import TransactionManager
+    from repro.storage.engine import StorageEngine
 
-    def test_positional_strategy_string_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = resolve_config("magic")
-        assert config.strategy == "magic"
+    db = repro.DeductiveDatabase
+    return [
+        compute_model,
+        db.engine,
+        db.canonical_model,
+        db.violated_constraints,
+        db.all_constraints_satisfied,
+        repro.MaintainedModel.__init__,
+        repro.MaintainedModel.from_snapshot,
+        QueryEngine.__init__,
+        MagicEvaluator.__init__,
+        TabledEvaluator.__init__,
+        repro.IntegrityChecker.__init__,
+        DeltaEvaluator.__init__,
+        NewEvaluator.__init__,
+        TransactionManager.__init__,
+        repro.ManagedDatabase.__init__,
+        DatabaseServer.__init__,
+        StorageEngine.recover,
+    ]
 
-    def test_legacy_keywords_warn_and_override(self):
-        with pytest.warns(DeprecationWarning, match="plan"):
-            config = resolve_config(None, plan="source", exec_mode="tuple")
-        assert config.plan == "source"
-        assert config.exec_mode == "tuple"
 
-    def test_internal_seams_can_silence_the_warning(self, recwarn):
-        config = resolve_config(None, plan="source", warn=False)
-        assert config.plan == "source"
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
+def module_trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+class TestOneWayToConfigure:
+    """The structural invariant: a seam learns its knobs from one
+    ``config`` parameter, and only ``repro.config`` knows what a knob
+    may be."""
+
+    @pytest.mark.parametrize("seam", seams(), ids=lambda s: s.__qualname__)
+    def test_seam_takes_config_and_no_loose_knob(self, seam):
+        parameters = inspect.signature(seam).parameters
+        assert "config" in parameters
+        assert parameters["config"].default is None
+        assert not KNOBS & set(parameters)
+
+    def test_violated_constraints_defaults_to_the_model_strategy(self):
+        db = repro.DeductiveDatabase.from_source("p(a).")
+        db.violated_constraints()
+        assert [config.strategy for config, _ in db._engines] == ["model"]
+
+    def test_config_module_is_a_leaf(self):
+        tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+        imported = [
+            name
+            for node in ast.walk(tree)
+            for name in imported_modules(node)
         ]
+        assert imported
+        assert not [name for name in imported if name.split(".")[0] == "repro"]
 
-    def test_explicit_config_never_warns(self, recwarn):
-        resolve_config(EngineConfig(strategy="magic"))
-        assert not [
-            w for w in recwarn.list if w.category is DeprecationWarning
+    def test_no_function_local_config_import(self):
+        offenders = [
+            f"{path.relative_to(SRC)}:{node.lineno}"
+            for path, tree in module_trees()
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if "repro.config" in imported_modules(node)
         ]
-
-    def test_unknown_keyword_is_a_type_error(self):
-        with pytest.raises(TypeError, match="unknown engine option"):
-            resolve_config(None, turbo=True)
-
-    def test_unresolvable_value_is_a_type_error(self):
-        with pytest.raises(TypeError, match="EngineConfig"):
-            resolve_config(42)
+        assert offenders == []
 
 
 class TestSeamAcceptance:
@@ -156,11 +217,11 @@ class TestSeamAcceptance:
         assert db.config.cache is True
         assert db.manager.result_cache is not None
 
-    def test_legacy_kwargs_still_work_with_warning(self):
+    def test_loose_knobs_are_gone_not_ignored(self):
         from repro import DeductiveDatabase
 
         db = DeductiveDatabase.from_source("p(a). q(X) :- p(X).")
-        with pytest.warns(DeprecationWarning):
-            engine = db.engine("magic", plan="source")
-        assert engine.config.strategy == "magic"
-        assert engine.config.plan == "source"
+        with pytest.raises(TypeError):
+            db.engine("magic")
+        with pytest.raises(TypeError):
+            db.engine(plan="source")

@@ -1,6 +1,8 @@
 """The package's public surface: repro.open, repro.Database,
 EngineConfig and the exported result types, as promised by __all__."""
 
+import pytest
+
 import repro
 
 
@@ -28,6 +30,21 @@ class TestAll:
 
     def test_database_is_the_managed_handle(self):
         assert repro.Database is repro.ManagedDatabase
+
+    def test_version_has_one_source(self):
+        """pyproject.toml declares no version of its own: the build
+        reads ``repro.__version__``, so the two cannot drift."""
+        import pathlib
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+        root = pathlib.Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as handle:
+            pyproject = tomllib.load(handle)
+        assert "version" not in pyproject["project"]
+        assert "version" in pyproject["project"]["dynamic"]
+        dynamic = pyproject["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
+        assert isinstance(repro.__version__, str) and repro.__version__
 
 
 class TestOpen:
