@@ -72,13 +72,11 @@ class DeductiveDatabase:
         self.constraints: List[Constraint] = list(constraints)
         self._constraint_counter = itertools.count(len(self.constraints) + 1)
         self._version = 0
-        self._engines: Dict[Tuple, QueryEngine] = {}
+        self._engines: Dict[EngineConfig, QueryEngine] = {}
         self._engine_version = -1
         # Library-level derived-result caches, one per cache-enabled
         # config. Without a transaction manager there are no DRed
-        # change sets to invalidate from, so _bump() clears coarsely;
-        # the service layer passes its own precisely-invalidated cache
-        # through engine(result_cache=...) instead.
+        # change sets to invalidate from, so _bump() clears coarsely.
         self._caches: Dict[Tuple, ResultCache] = {}
 
     # -- construction -----------------------------------------------------------------
@@ -198,30 +196,24 @@ class DeductiveDatabase:
 
     # -- querying ----------------------------------------------------------------------------
 
-    def engine(
-        self,
-        *,
-        config: Optional[EngineConfig] = None,
-        result_cache: Optional[ResultCache] = None,
-    ) -> QueryEngine:
+    def engine(self, *, config: Optional[EngineConfig] = None) -> QueryEngine:
         """A query engine over the current state, configured by
         *config* (see :class:`repro.config.EngineConfig` for the
         knobs). Engines are cached per config and invalidated whenever
         the database mutates.
 
-        ``config.cache`` attaches a derived-result cache;
-        *result_cache* overrides it with a caller-owned instance (the
-        transaction manager's, invalidated precisely from DRed change
-        sets — without one, the database clears its own caches
-        coarsely on every mutation)."""
+        ``config.cache`` attaches the database's derived-result cache
+        for that config, cleared coarsely on every mutation (the
+        transaction manager reads committed state through its own,
+        precisely invalidated engine instead)."""
         config = config or EngineConfig()
         if self._engine_version != self._version:
             self._engines.clear()
             self._engine_version = self._version
-        key = (config, id(result_cache) if result_cache is not None else None)
-        engine = self._engines.get(key)
+        engine = self._engines.get(config)
         if engine is None:
-            if result_cache is None and config.cache:
+            result_cache = None
+            if config.cache:
                 cache_key = config.key()
                 result_cache = self._caches.get(cache_key)
                 if result_cache is None:
@@ -233,7 +225,7 @@ class DeductiveDatabase:
                 config=config,
                 result_cache=result_cache,
             )
-            self._engines[key] = engine
+            self._engines[config] = engine
         return engine
 
     def holds(self, atom: Union[str, Atom]) -> bool:

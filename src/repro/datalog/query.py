@@ -133,10 +133,13 @@ class QueryEngine:
         self.config = config
         self.facts = facts
         self.program = program
-        # Derived-result cache. A shared instance (the transaction
-        # manager's, invalidated from DRed change sets) arrives via
-        # result_cache; a standalone engine with config.cache owns a
-        # private one, safe because engines are per database version.
+        # Derived-result cache. A shared instance arrives via
+        # result_cache; an engine built without one under config.cache
+        # owns a private cache that nothing ever invalidates, so it is
+        # only sound for an engine discarded when its facts change. An
+        # engine that outlives mutations of its store (the transaction
+        # manager's committed-state engines) must share the manager's
+        # DRed-invalidated cache or be built with cache=False.
         if result_cache is not None:
             self.result_cache: Optional[ResultCache] = result_cache
         elif config.cache:

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
+from repro.datalog.query import QueryEngine
 from repro.integrity.delta_eval import DeltaEvaluator
 from repro.integrity.dependencies import DependencyIndex
 from repro.integrity.instances import simplified_instances
@@ -143,6 +144,12 @@ class IntegrityChecker:
     constraint query touches only the tuples the magic-sets rewrite
     demands for it, instead of materializing the full dependency
     closure of every predicate the constraint mentions.
+
+    *old_engine*, when given, answers every read of the current state
+    D (the ``delta`` old side, rule-update seeds). A transaction
+    manager passes a cache-less engine over its DRed-maintained model,
+    which holds every derived fact already; without one, the database's
+    own engine for *config* re-derives what the reads need.
     """
 
     def __init__(
@@ -150,12 +157,20 @@ class IntegrityChecker:
         database: DeductiveDatabase,
         *,
         config: Optional[EngineConfig] = None,
+        old_engine: Optional[QueryEngine] = None,
     ):
         self.database = database
         self.config = config or EngineConfig()
+        self.old_engine = old_engine
         # Fact-independent structures, shared across checks.
         self.dependency_index = DependencyIndex(database.program)
         self.relevance = RelevanceIndex(database.constraints)
+
+    def _old_state(self) -> QueryEngine:
+        """The engine reads of the current state D go through."""
+        if self.old_engine is not None:
+            return self.old_engine
+        return self.database.engine(config=self.config)
 
     # -- the paper's method ------------------------------------------------------------
 
@@ -212,6 +227,7 @@ class IntegrityChecker:
             index=self.dependency_index,
             restrict_to=closure,
             config=self.config,
+            old_engine=self._old_state(),
         )
         fresh_engine = (
             None
@@ -333,6 +349,7 @@ class IntegrityChecker:
             index=self.dependency_index,
             restrict_to=None,  # the whole point: no goal direction
             config=self.config,
+            old_engine=self._old_state(),
         )
         engine = delta.new_engine
         violations: List[Violation] = []
@@ -462,6 +479,7 @@ class IntegrityChecker:
             config=self.config,
             new_database=new_db,
             seeds=seeds,
+            old_engine=self._old_state(),
         )
         return self._evaluate_update_constraints(
             compiled, delta, stats, "rule-addition"
@@ -504,9 +522,7 @@ class IntegrityChecker:
             return CheckResult([], stats, "rule-removal")
         new_engine = new_db.engine(config=self.config)
         candidates = self._rule_seeds(
-            rule,
-            body_state=self.database.engine(config=self.config),
-            inserted=False,
+            rule, body_state=self._old_state(), inserted=False
         )
         # Only heads no longer derivable anywhere actually change.
         seeds = [
@@ -523,6 +539,7 @@ class IntegrityChecker:
             config=self.config,
             new_database=new_db,
             seeds=seeds,
+            old_engine=self._old_state(),
         )
         return self._evaluate_update_constraints(
             compiled, delta, stats, "rule-removal"
@@ -552,7 +569,7 @@ class IntegrityChecker:
         from repro.datalog.joins import join_body
         from repro.logic.substitution import Substitution
 
-        old_engine = self.database.engine(config=self.config)
+        old_engine = self._old_state()
 
         def matcher(index: int, pattern):
             return body_state.match_atom(pattern)

@@ -36,6 +36,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Union
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.joins import join_body
+from repro.datalog.query import QueryEngine
 from repro.integrity.dependencies import DependencyIndex, Signature
 from repro.logic.formulas import Atom, Literal
 from repro.logic.substitution import Substitution
@@ -55,6 +56,7 @@ class DeltaEvaluator:
         seeds: Optional[Sequence[Literal]] = None,
         *,
         config: Optional[EngineConfig] = None,
+        old_engine: Optional[QueryEngine] = None,
     ):
         """By default the updated state is the fact overlay of
         *updates*. Rule updates (Section 3.2: "treated like conditional
@@ -62,6 +64,11 @@ class DeltaEvaluator:
         program) together with pre-verified *seeds* — the ground truth
         changes the rule change causes directly; propagation and the
         truth-change tests then run between the two states as usual.
+
+        *old_engine* answers reads of the current state D; it defaults
+        to the database's own engine. A transaction manager passes its
+        engine over the maintained model, which already holds every
+        derived fact.
         """
         from repro.integrity.transactions import Transaction
 
@@ -72,7 +79,15 @@ class DeltaEvaluator:
         self.index = index if index is not None else DependencyIndex(
             database.program
         )
-        self.old_engine = database.engine(config=config)
+        self.old_engine = (
+            old_engine
+            if old_engine is not None
+            else database.engine(config=config)
+        )
+        # The old engine outlives this evaluator (it is cached on the
+        # database, or owned by a manager), so its lookup counter is
+        # read relative to this point.
+        self._old_lookups_before = self.old_engine.lookup_count
         if new_database is not None:
             self.new_view = new_database
         else:
@@ -223,4 +238,6 @@ class DeltaEvaluator:
 
     @property
     def lookup_count(self) -> int:
-        return self.old_engine.lookup_count + self.new_engine.lookup_count
+        """Atom lookups served for this evaluator's update."""
+        old = self.old_engine.lookup_count - self._old_lookups_before
+        return old + self.new_engine.lookup_count

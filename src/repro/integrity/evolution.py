@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from repro.datalog.database import Constraint, DeductiveDatabase
+from repro.datalog.query import QueryEngine
 from repro.logic.formulas import Formula
 from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_formula
@@ -101,9 +102,14 @@ def assess_constraint_addition(
     id: Optional[str] = None,
     max_fresh_constants: int = 8,
     max_levels: int = 120,
+    engine: Optional[QueryEngine] = None,
 ) -> ConstraintAdditionResult:
     """Triage a candidate constraint against *database* (which is not
-    modified). See the module docstring for the decision procedure."""
+    modified). See the module docstring for the decision procedure.
+
+    *engine* evaluates the candidate over the current state; it
+    defaults to the database's own engine (a transaction manager
+    passes its engine over the maintained model)."""
     source = constraint if isinstance(constraint, str) else None
     formula = (
         parse_formula(constraint) if isinstance(constraint, str) else constraint
@@ -133,7 +139,8 @@ def assess_constraint_addition(
                 INCOMPATIBLE, candidate, [], None, diagnostics=diagnostics
             )
 
-    engine = database.engine()
+    if engine is None:
+        engine = database.engine()
     if engine.evaluate(normalized):
         return ConstraintAdditionResult(
             ACCEPTED, candidate, [], None, diagnostics=diagnostics

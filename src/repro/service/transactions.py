@@ -19,6 +19,18 @@ Concurrency model — optimistic, first-committer-wins:
   Violators are rejected with witness diagnostics and are never
   logged.
 
+Committed-state reads come from the maintained model. The manager
+keeps one :class:`~repro.datalog.query.QueryEngine` over the
+DRed-maintained canonical model with an empty rule set — the model is
+complete, so nothing is derived at read time — and the engine survives
+commits because DRed updates that store in place. Unstaged
+``holds``/``evaluate`` calls read through it with the manager's result
+cache; the gate reads the old state D (``delta``'s old side, rule-DDL
+seeds, constraint-DDL triage) through the same engine when the cache is
+off and through a cache-less twin when it is on. Only the new
+state U(D) and staged session reads still go through overlay engines
+that derive on demand.
+
 Group commit: concurrent commit calls elect a leader that drains the
 queue and, for mutually non-conflicting transactions, runs **one**
 merged gate check, appends **one** atomic WAL batch record with one
@@ -72,6 +84,8 @@ from typing import Deque, List, Optional, Sequence, Set, Union
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.incremental import MaintainedModel
+from repro.datalog.program import Program
+from repro.datalog.query import QueryEngine
 from repro.integrity.checker import METHODS, CheckResult, IntegrityChecker
 from repro.integrity.evolution import (
     ACCEPTED,
@@ -107,6 +121,10 @@ _QUEUE_DEPTH = default_registry().gauge("txn.queue_depth")
 #: A session older than the window can no longer be validated and is
 #: rejected as ``conflict`` (stale session) — commit promptly.
 CONFLICT_WINDOW = 1024
+
+#: The committed-state engines' rule set: they read the complete
+#: canonical model, so there is nothing left to derive.
+_NO_RULES = Program()
 
 COMMITTED = "committed"
 REJECTED = "rejected"
@@ -369,6 +387,7 @@ class TransactionManager:
         self.result_cache = (
             ResultCache(config.cache_size) if config.cache else None
         )
+        self._attach_model()
         self.group_commit = group_commit
         self.snapshot_interval = snapshot_interval
         # How long a leader lingers for stragglers *when other commits
@@ -378,7 +397,7 @@ class TransactionManager:
         self.commit_delay = commit_delay
         # Open-session count: the linger heuristic's "siblings" signal.
         self._active_sessions = 0
-        self.checker = IntegrityChecker(database, config=config)
+        self.checker = self._new_checker()
         # _state_lock guards the committed state (database, model,
         # commit log, version) against concurrent readers; the commit
         # mutex elects the group-commit leader.
@@ -416,6 +435,37 @@ class TransactionManager:
         self.stats[key] += amount
         self._stat_counters[key].inc(amount)
 
+    def _attach_model(self) -> None:
+        """Build the committed-state engines over ``self.model``.
+
+        The canonical model is complete, so they run with an empty rule
+        set and derive nothing at read time. DRed mutates the model
+        store in place, so they survive every fact commit; only
+        replacing ``self.model`` (rule DDL) calls for new ones. Reads
+        share the manager's result cache. The gate probes the model
+        without a cache, so with the cache on it gets a cache-less
+        twin (``cache=False``: a private cache would never see DRed's
+        invalidations); with it off, the read engine already is one."""
+        store = self.model.model
+        self._read_engine = QueryEngine(
+            store,
+            _NO_RULES,
+            config=self.config,
+            result_cache=self.result_cache,
+        )
+        self._gate_engine = (
+            self._read_engine
+            if self.result_cache is None
+            else QueryEngine(
+                store, _NO_RULES, config=self.config.replace(cache=False)
+            )
+        )
+
+    def _new_checker(self) -> IntegrityChecker:
+        return IntegrityChecker(
+            self.database, config=self.config, old_engine=self._gate_engine
+        )
+
     # -- sessions -----------------------------------------------------------------
 
     def begin(self) -> Session:
@@ -431,21 +481,16 @@ class TransactionManager:
 
     # -- reads --------------------------------------------------------------------
 
-    def _view(self, staged: Sequence[Literal]) -> DeductiveDatabase:
-        if not staged:
-            return self.database
-        return self.database.updated(list(staged))
-
-    def _engine(self, staged: Sequence[Literal]):
+    def _engine(self, staged: Sequence[Literal]) -> QueryEngine:
         """The engine for a read: staged overlay views get a private
         engine (never the shared cache — their answers depend on
-        uncommitted writes); unstaged reads share the manager's
-        precisely-invalidated result cache."""
+        uncommitted writes); unstaged reads go to the committed-state
+        engine over the maintained model."""
         if staged:
-            return self._view(staged).engine(config=self.config)
-        return self.database.engine(
-            config=self.config, result_cache=self.result_cache
-        )
+            return self.database.updated(list(staged)).engine(
+                config=self.config
+            )
+        return self._read_engine
 
     def evaluate(self, formula: Formula, staged: Sequence[Literal] = ()) -> bool:
         # maybe_trace is a no-op unless config.slow_query_ms is set or
@@ -822,16 +867,18 @@ class TransactionManager:
         if self.storage is not None:
             self.storage.log(record)
         self.database.add_rule(rule)
-        # The maintained model, the checker's dependency indexes and
-        # any cached derived results are all program-dependent: rebuild
-        # the first two, flush the third wholesale (unlike fact
-        # commits, a rule change has no exact DRed change set here).
+        # The maintained model (with the engines over it), the
+        # checker's dependency indexes and any cached derived results
+        # are all program-dependent: rebuild the first two, flush the
+        # third wholesale (unlike fact commits, a rule change has no
+        # exact DRed change set here).
         self.model = MaintainedModel(
             self.database.facts, self.database.program, config=self.config
         )
+        self._attach_model()
         if self.result_cache is not None:
             self.result_cache.clear()
-        self.checker = IntegrityChecker(self.database, config=self.config)
+        self.checker = self._new_checker()
         self.version = lsn
         self._bump("txn.ddl_committed")
         request.finish(
@@ -878,6 +925,7 @@ class TransactionManager:
             id=constraint_id,
             max_fresh_constants=request.budget,
             max_levels=request.max_levels,
+            engine=self._gate_engine,
         )
         if triage.status != ACCEPTED:
             self._bump("txn.ddl_rejected")
@@ -901,7 +949,7 @@ class TransactionManager:
         # The relevance/dependency indexes are constraint-dependent.
         # The result cache stays warm: DDL changes which formulas are
         # *checked*, not the truth of any cached query.
-        self.checker = IntegrityChecker(self.database, config=self.config)
+        self.checker = self._new_checker()
         self.version = lsn
         self._bump("txn.ddl_committed")
         request.finish(

@@ -210,6 +210,23 @@ class TestZeroFactAccess:
         assert interleaved.stats["lookups"] > bdm.stats["lookups"]
 
 
+class TestPerCheckAccounting:
+    def test_repeated_identical_checks_report_identical_stats(self):
+        # The old-state engine is cached on the database and shared by
+        # every check; its lookups are counted per check, not summed
+        # over the engine's lifetime.
+        db, checker = make_checker(UNIVERSITY)
+        first = checker.check("student(jim)")
+        assert first.stats["lookups"] > 0
+        for _ in range(3):
+            assert checker.check("student(jim)").stats == first.stats
+
+    def test_interleaved_stats_are_per_check_too(self):
+        db, checker = make_checker(UNIVERSITY)
+        first = checker.check_interleaved("student(jim)")
+        assert checker.check_interleaved("student(jim)").stats == first.stats
+
+
 class TestLloydCost:
     def test_lloyd_enumerates_unchanged_instances(self):
         # The rule head has a join variable, so the potential update

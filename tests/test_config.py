@@ -143,7 +143,7 @@ class TestOneWayToConfigure:
     def test_violated_constraints_defaults_to_the_model_strategy(self):
         db = repro.DeductiveDatabase.from_source("p(a).")
         db.violated_constraints()
-        assert [config.strategy for config, _ in db._engines] == ["model"]
+        assert [config.strategy for config in db._engines] == ["model"]
 
     def test_config_module_is_a_leaf(self):
         tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
