@@ -1,31 +1,15 @@
-"""E15 (extension, not from the paper) — storage backends and the
-precisely-invalidated derived-result cache.
+"""E15 (extension, not from the paper) — an out-of-core storage backend.
 
-Two claims from PR 6's API redesign, pinned on counters first and wall
-clock second:
-
-1. **Warm cache.** Repeating a recursive query against an unchanged
-   committed state is a cache probe, not a re-evaluation: the manager's
-   :class:`ResultCache` serves it ≥5× faster than the uncached
-   configuration re-deriving the closure each time (measured margin is
-   orders of magnitude; 5× keeps the assertion robust on slow CI).
-   Commits touching an *unrelated* predicate leave the entries warm —
-   DRed's exact change sets drive per-predicate-key eviction, so the
-   hit counters keep climbing across such commits (asserted, not
-   timed).
-
-2. **Out of core.** The same transitive-closure materialization that
-   blows a capped in-memory dict store (``StoreCapacityError``) runs to
-   completion on the sqlite backend, whose relations live outside the
-   interpreter heap.
+The claim, pinned on outcome first and sizes second: the same
+transitive-closure materialization that blows a capped in-memory dict
+store (``StoreCapacityError``) runs to completion on the sqlite
+backend, whose relations live outside the interpreter heap.
 """
 
 import os
-import time
 
 import pytest
 
-import repro
 from repro.datalog.bottomup import compute_model
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -35,93 +19,11 @@ from repro.storage.backends import StoreCapacityError, make_store
 from conftest import report
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-CHAIN = 60 if QUICK else 120
-REPEATS = 15 if QUICK else 40
 
 REACH_RULES = [
     "reach(X, Y) :- link(X, Y)",
     "reach(X, Y) :- link(X, Z), reach(Z, Y)",
 ]
-
-
-def chain_source(n):
-    lines = [f"link(c{i}, c{i + 1})." for i in range(n)]
-    lines += [f"{rule}." for rule in REACH_RULES]
-    lines += [f"other(o{i})." for i in range(5)]
-    return "\n".join(lines)
-
-
-def open_db(cache):
-    return repro.open(
-        source=chain_source(CHAIN),
-        config=repro.EngineConfig(cache=cache),
-    )
-
-
-# Expensive per evaluation even against a materialized model: the
-# universal ranges over the O(n^2) closure, so an uncached engine pays
-# the sweep on every repeat while the cache answers from one entry.
-QUERY = "forall X, Y: reach(X, Y) -> reach(c0, Y)"
-
-
-def timed_queries(db):
-    start = time.perf_counter()
-    for _ in range(REPEATS):
-        assert db.query(QUERY) is True
-    return time.perf_counter() - start
-
-
-class TestWarmCacheSpeedup:
-    def test_warm_repeat_is_5x_faster_than_uncached(self):
-        cached = open_db(cache=True)
-        uncached = open_db(cache=False)
-        # Warm-up: first evaluation pays the derivation in both
-        # configurations (and populates the cache in one).
-        cached.query(QUERY)
-        uncached.query(QUERY)
-
-        cold = timed_queries(uncached)
-        warm = timed_queries(cached)
-
-        stats = cached.manager.result_cache.stats()
-        report(
-            "E15a: warm result cache vs re-evaluation "
-            f"({REPEATS} repeats, chain={CHAIN})",
-            [
-                ("uncached", f"{cold * 1000:.1f}", "-", "-"),
-                ("cached", f"{warm * 1000:.1f}", stats["cache.hits"],
-                 stats["cache.misses"]),
-            ],
-            header=("config", "ms total", "hits", "misses"),
-        )
-        # Every repeat after the warm-up was served from the cache.
-        assert stats["cache.hits"] >= REPEATS
-        assert cold / max(warm, 1e-9) >= 5.0, (
-            f"warm cache only {cold / warm:.1f}x faster"
-        )
-
-    def test_unrelated_commit_leaves_cache_warm(self):
-        db = open_db(cache=True)
-        db.query(QUERY)  # populate
-        hits_before = db.manager.result_cache.stats()["cache.hits"]
-        for i in range(3):
-            # 'other' shares no lineage with link/reach: DRed's change
-            # set never names a cached dependency.
-            assert db.submit(f"other(fresh{i})").status == "committed"
-            assert db.query(QUERY) is True
-        stats = db.manager.result_cache.stats()
-        report(
-            "E15b: cache across unrelated commits",
-            [(stats["cache.hits"], stats["cache.misses"], stats["cache.invalidations"])],
-            header=("hits", "misses", "invalidations"),
-        )
-        assert stats["cache.hits"] == hits_before + 3
-        assert stats["cache.invalidations"] == 0
-        # A commit on the query's own lineage does evict.
-        assert db.submit(f"link(c{CHAIN}, cX)").status == "committed"
-        misses_before = db.manager.result_cache.stats()["cache.misses"]
-        assert db.query(QUERY) is True
-        assert db.manager.result_cache.stats()["cache.misses"] > misses_before
 
 
 class TestOutOfCore:

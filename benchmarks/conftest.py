@@ -9,7 +9,7 @@ qualitative reproduction does not depend on machine speed.
 With ``REPRO_METRICS_OUT=<path>`` set, the session's final metrics-
 registry snapshot (see :mod:`repro.obs.metrics`) is dumped there as
 JSON — ``run_all.py`` uses this to embed per-benchmark engine counters
-(joins, derivations, cache traffic, WAL volume) in ``BENCH_pr.json``.
+(joins, derivations, WAL volume) in ``BENCH_pr.json``.
 """
 
 import json

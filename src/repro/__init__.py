@@ -22,11 +22,10 @@ database whose commit gate is the paper's integrity check:
 True
 
 Pass a directory for durability (WAL + snapshots), and an
-:class:`EngineConfig` to pick evaluation strategy, join plan, storage
-backend and result caching in one validated object:
+:class:`EngineConfig` to pick evaluation strategy, join plan and
+storage backend in one validated object:
 
->>> config = repro.EngineConfig(strategy="magic", backend="sqlite",
-...                             cache=True)
+>>> config = repro.EngineConfig(strategy="magic", backend="sqlite")
 >>> db = repro.open("/tmp/mydb", config=config)   # doctest: +SKIP
 
 The lower-level classes (:class:`DeductiveDatabase`,
@@ -66,7 +65,6 @@ from repro.satisfiability.tableaux import TableauxChecker
 from repro.service.database import ManagedDatabase
 from repro.service.transactions import CommitResult, Session
 from repro.storage.backends import StoreBackend, make_store
-from repro.storage.result_cache import ResultCache
 
 #: The transactional database handle :func:`open` returns.
 Database = ManagedDatabase
@@ -86,7 +84,7 @@ def open(
     *source* on first open); without one, the database lives in memory
     with identical semantics. *config* is an :class:`EngineConfig`
     bundling every engine knob (strategy, plan, exec mode, storage
-    backend, result cache); remaining *options* (``sync``, ``method``,
+    backend); remaining *options* (``sync``, ``method``,
     ``group_commit``, ``snapshot_interval``, ...) pass through to
     :class:`Database`.
     """
@@ -124,7 +122,6 @@ __all__ = [
     "ParseError",
     "Program",
     "QueryTrace",
-    "ResultCache",
     "Rule",
     "SafetyError",
     "SatResult",

@@ -59,7 +59,6 @@ from repro.logic.parser import parse_formula
 from repro.logic.normalize import normalize_constraint
 from repro.satisfiability.checker import SatisfiabilityChecker
 
-_METHODS = METHODS
 FORMATS = ("text", "json")
 
 
@@ -144,21 +143,11 @@ def _add_backend_option(command) -> None:
     )
 
 
-def _add_cache_option(command, default: bool = False) -> None:
-    command.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=default,
-        help="cache derived query results, invalidated per predicate "
-        "from the maintained model's change sets",
-    )
-
-
 def _add_obs_options(command) -> None:
     command.add_argument(
         "--explain",
         action="store_true",
-        help="print the per-query trace (plan, rewrite, rounds, cache, "
+        help="print the per-query trace (plan, rewrite, rounds, "
         "phase timings) as an EXPLAIN tree after the verdict",
     )
     command.add_argument(
@@ -245,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--method",
-        choices=_METHODS,
+        choices=METHODS,
         default="bdm",
         help="checking method (default: the paper's two-phase method)",
     )
@@ -263,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_option(check)
     _add_join_algo_option(check)
     _add_backend_option(check)
-    _add_cache_option(check)
     _add_format_option(check)
     _add_obs_options(check)
 
@@ -304,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_option(query)
     _add_join_algo_option(query)
     _add_backend_option(query)
-    _add_cache_option(query)
     _add_format_option(query)
     _add_obs_options(query)
 
@@ -395,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--method",
-        choices=_METHODS,
+        choices=METHODS,
         default="bdm",
         help="integrity gate method (default: %(default)s)",
     )
@@ -413,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_exec_option(serve)
     _add_join_algo_option(serve)
     _add_backend_option(serve)
-    # The server maintains its model through DRed, so precise cache
-    # invalidation is available: cache on by default.
-    _add_cache_option(serve, default=True)
 
     top = commands.add_parser(
         "top",
@@ -782,12 +766,6 @@ def _render_top(payload: dict) -> str:
             + "".join(
                 f"{entry.get(h, 0.0):>12.1f}" for h in ("1s", "10s", "60s")
             )
-        )
-    hits = (rates.get("cache.hits") or {}).get("60s", 0.0)
-    misses = (rates.get("cache.misses") or {}).get("60s", 0.0)
-    if hits or misses:
-        lines.append(
-            f"{'cache hit %':<16}{100.0 * hits / (hits + misses):>36.1f}"
         )
     lines.append("")
     lines.append(

@@ -7,7 +7,7 @@ so every layer can import it; every engine seam takes exactly one
 ``EngineConfig()``) and reads ``config.<knob>``. Values are validated
 once, in :meth:`EngineConfig.__post_init__`, with a one-line
 ``ValueError`` naming the accepted choices; the config is hashable, so
-it keys engine memos and cache entries directly.
+it keys engine memos directly.
 
 The knobs:
 
@@ -32,10 +32,12 @@ The knobs:
 ``backend``
     Fact-store backend: ``dict`` (in-process reference store) or
     ``sqlite`` (out-of-core). Default from ``REPRO_BACKEND``.
-``cache`` / ``cache_size``
-    The derived-result cache: enabled flag and entry bound. Cached
-    entries are invalidated per-predicate-key from DRed's change sets
-    (see :mod:`repro.storage.result_cache`).
+``cache``
+    A no-op: validated as a bool, read by nothing and excluded from
+    :meth:`EngineConfig.key`. Committed-state reads are store probes on
+    the maintained model, so there is no result cache to switch on; the
+    field stays so existing ``EngineConfig(cache=…)`` calls still
+    construct.
 ``slow_query_ms``
     Slow-query log threshold in milliseconds: queries/checks slower
     than this emit their completed :class:`repro.obs.QueryTrace`
@@ -159,7 +161,6 @@ class EngineConfig:
     supplementary: bool = True
     backend: str = DEFAULT_BACKEND
     cache: bool = False
-    cache_size: int = 256
     slow_query_ms: Optional[float] = DEFAULT_SLOW_QUERY_MS
     # Appended after the original knobs so positional construction
     # stays stable across versions.
@@ -177,12 +178,6 @@ class EngineConfig:
             )
         if not isinstance(self.cache, bool):
             raise ValueError(f"cache must be a bool: {self.cache!r}")
-        if not isinstance(self.cache_size, int) or isinstance(
-            self.cache_size, bool
-        ) or self.cache_size <= 0:
-            raise ValueError(
-                f"cache_size must be a positive int: {self.cache_size!r}"
-            )
         if self.slow_query_ms is not None:
             _slow_query_ms(self.slow_query_ms)
 
@@ -192,9 +187,7 @@ class EngineConfig:
 
     def key(self) -> Tuple:
         """The evaluation-identity tuple: two configs with equal keys
-        answer every query identically (cache entries are tagged with
-        it, so answers computed under one config never serve
-        another)."""
+        answer every query identically."""
         return (
             self.strategy,
             self.plan,
@@ -204,7 +197,7 @@ class EngineConfig:
             # Included deliberately, mirroring exec_mode: the hash and
             # leapfrog paths answer identically (the differential
             # harness pins it), but keeping evaluation identity
-            # conservative means a cached answer never hides a
+            # conservative means a shared answer never hides a
             # divergence bug between the legs.
             self.join_algo,
         )

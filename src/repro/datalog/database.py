@@ -9,7 +9,7 @@ simulated updated state (Definition 1 / the overlay construction).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.config import EngineConfig
 from repro.datalog.facts import FactStore
@@ -28,7 +28,6 @@ from repro.logic.parser import (
 from repro.logic.safety import check_constraint_safety, constraint_predicates
 from repro.obs.trace import QueryTrace, trace_query
 from repro.storage.backends import StoreBackend, make_store
-from repro.storage.result_cache import ResultCache
 
 
 class Constraint:
@@ -74,10 +73,6 @@ class DeductiveDatabase:
         self._version = 0
         self._engines: Dict[EngineConfig, QueryEngine] = {}
         self._engine_version = -1
-        # Library-level derived-result caches, one per cache-enabled
-        # config. Without a transaction manager there are no DRed
-        # change sets to invalidate from, so _bump() clears coarsely.
-        self._caches: Dict[Tuple, ResultCache] = {}
 
     # -- construction -----------------------------------------------------------------
 
@@ -107,11 +102,9 @@ class DeductiveDatabase:
     def copy(self) -> "DeductiveDatabase":
         """An independent copy (facts deep-copied; program and
         constraints are immutable and shared)."""
-        if isinstance(self.facts, OverlayFactStore):
-            facts = self.facts.copy()
-        else:
-            facts = self.facts.copy()
-        return DeductiveDatabase(facts, self.program, list(self.constraints))
+        return DeductiveDatabase(
+            self.facts.copy(), self.program, list(self.constraints)
+        )
 
     # -- mutation ----------------------------------------------------------------------
 
@@ -170,10 +163,6 @@ class DeductiveDatabase:
 
     def _bump(self) -> None:
         self._version += 1
-        # Coarse invalidation for the library-level caches: without a
-        # maintained model there is no change set to be precise with.
-        for cache in self._caches.values():
-            cache.clear()
 
     # -- simulated updates ------------------------------------------------------------------
 
@@ -199,32 +188,15 @@ class DeductiveDatabase:
     def engine(self, *, config: Optional[EngineConfig] = None) -> QueryEngine:
         """A query engine over the current state, configured by
         *config* (see :class:`repro.config.EngineConfig` for the
-        knobs). Engines are cached per config and invalidated whenever
-        the database mutates.
-
-        ``config.cache`` attaches the database's derived-result cache
-        for that config, cleared coarsely on every mutation (the
-        transaction manager reads committed state through its own,
-        precisely invalidated engine instead)."""
+        knobs). Engines are memoized per config and dropped whenever
+        the database mutates."""
         config = config or EngineConfig()
         if self._engine_version != self._version:
             self._engines.clear()
             self._engine_version = self._version
         engine = self._engines.get(config)
         if engine is None:
-            result_cache = None
-            if config.cache:
-                cache_key = config.key()
-                result_cache = self._caches.get(cache_key)
-                if result_cache is None:
-                    result_cache = ResultCache(config.cache_size)
-                    self._caches[cache_key] = result_cache
-            engine = QueryEngine(
-                self.facts,
-                self.program,
-                config=config,
-                result_cache=result_cache,
-            )
+            engine = QueryEngine(self.facts, self.program, config=config)
             self._engines[config] = engine
         return engine
 
@@ -250,7 +222,7 @@ class DeductiveDatabase:
         :class:`repro.obs.QueryTrace` and return the completed trace
         (``trace.result`` holds the verdict, :meth:`QueryTrace.render`
         the EXPLAIN tree). A fresh engine run records its plans,
-        rewrites, rounds and cache consults; nothing about the
+        rewrites and rounds; nothing about the
         evaluation itself changes."""
         if isinstance(formula, str):
             formula = normalize_constraint(parse_formula(formula))

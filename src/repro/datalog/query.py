@@ -64,11 +64,9 @@ from repro.logic.formulas import (
     Or,
     TrueFormula,
 )
-from repro.logic.safety import constraint_predicates
 from repro.logic.substitution import Substitution
 from repro.logic.unify import match
 from repro.obs.trace import current_trace
-from repro.storage.result_cache import ResultCache
 
 
 class _CombinedView:
@@ -127,26 +125,16 @@ class QueryEngine:
         program: Program,
         *,
         config: Optional[EngineConfig] = None,
-        result_cache: Optional[ResultCache] = None,
     ):
         config = config or EngineConfig()
         self.config = config
         self.facts = facts
         self.program = program
-        # Derived-result cache. A shared instance arrives via
-        # result_cache; an engine built without one under config.cache
-        # owns a private cache that nothing ever invalidates, so it is
-        # only sound for an engine discarded when its facts change. An
-        # engine that outlives mutations of its store (the transaction
-        # manager's committed-state engines) must share the manager's
-        # DRed-invalidated cache or be built with cache=False.
-        if result_cache is not None:
-            self.result_cache: Optional[ResultCache] = result_cache
-        elif config.cache:
-            self.result_cache = ResultCache(config.cache_size)
-        else:
-            self.result_cache = None
-        self._cache_key = config.key()
+        # Derived facts live in this side store, so an engine keeps
+        # answering correctly over a store mutated in place only while
+        # its program is empty (the transaction manager's committed-state
+        # engine over the maintained model); otherwise it is discarded
+        # when its facts change.
         self._derived = FactStore()
         self._view = _CombinedView(facts, self._derived)
         # The planner consults the engine's own estimate(), which knows
@@ -218,28 +206,10 @@ class QueryEngine:
     # -- atom-level access -------------------------------------------------------------
 
     def holds(self, atom: Atom) -> bool:
-        """Truth of a ground atom in the canonical model. Cached with
-        atom-level precision when a result cache is attached: the entry
-        depends on exactly this atom's membership in the model, so only
-        a change set containing *this* atom evicts it."""
+        """Truth of a ground atom in the canonical model."""
         if not atom.is_ground():
             raise ValueError(f"holds() needs a ground atom: {atom}")
-        cache = self.result_cache
-        if cache is not None:
-            key = ("holds", self._cache_key, atom)
-            hit, value = cache.get(key)
-            trace = current_trace()
-            if trace is not None:
-                trace.record_cache(hit)
-            if hit:
-                return value
         self.lookup_count += 1
-        value = self._holds(atom)
-        if cache is not None:
-            cache.put(key, value, (atom.pred,), (atom,))
-        return value
-
-    def _holds(self, atom: Atom) -> bool:
         if self._tabled is not None:
             return self._tabled.holds(atom)
         if self.program.is_idb(atom.pred):
@@ -377,30 +347,7 @@ class QueryEngine:
         self, formula: Formula, binding: Substitution = Substitution.empty()
     ) -> bool:
         """Truth of *formula* (closed under *binding*) in the canonical
-        model. Quantifiers must be in restricted form.
-
-        Closed formulas (empty binding) are cached with
-        predicate-level precision when a result cache is attached: the
-        entry depends on the extensions of exactly the predicates the
-        formula mentions, so commits whose DRed change set touches
-        none of them leave it warm."""
-        cache = self.result_cache
-        if cache is not None and not binding:
-            key = ("eval", self._cache_key, formula)
-            hit, value = cache.get(key)
-            trace = current_trace()
-            if trace is not None:
-                trace.record_cache(hit)
-            if hit:
-                return value
-            value = self._evaluate(formula, binding)
-            cache.put(key, value, constraint_predicates(formula))
-            return value
-        return self._evaluate(formula, binding)
-
-    def _evaluate(
-        self, formula: Formula, binding: Substitution = Substitution.empty()
-    ) -> bool:
+        model. Quantifiers must be in restricted form."""
         if isinstance(formula, TrueFormula):
             return True
         if isinstance(formula, FalseFormula):

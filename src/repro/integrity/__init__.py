@@ -9,7 +9,9 @@ The pipeline, mirroring the paper's two-phase architecture:
   :mod:`update_constraints` — update constraints (Def. 6)
 
 *Evaluation phase* (fact access through the query engines):
-  :mod:`new_eval`   — the ``new`` meta-interpreter: truth in U(D), simulated
+  ``new``           — the paper's meta-interpreter for truth in U(D) is
+                      plain evaluation over the overlay database
+                      ``database.updated(U).engine()`` (Definition 1)
   :mod:`delta_eval` — the ``delta`` meta-interpreter: induced updates (Def. 4)
   :mod:`checker`    — the methods: full check, [NICO 79] (Prop. 1), the
                       paper's method (Prop. 3), and the [LLOY 86] /
@@ -33,7 +35,6 @@ from repro.integrity.update_constraints import (
     UpdateConstraint,
     compile_update_constraints,
 )
-from repro.integrity.new_eval import NewEvaluator
 from repro.integrity.delta_eval import DeltaEvaluator
 from repro.integrity.checker import (
     CheckResult,
@@ -55,7 +56,6 @@ __all__ = [
     "DependencyIndex",
     "DirectDependency",
     "IntegrityChecker",
-    "NewEvaluator",
     "RelevanceIndex",
     "SimplifiedInstance",
     "Transaction",

@@ -49,7 +49,6 @@ from repro.datalog.query import QueryEngine
 from repro.integrity.delta_eval import DeltaEvaluator
 from repro.integrity.dependencies import DependencyIndex
 from repro.integrity.instances import simplified_instances
-from repro.integrity.new_eval import NewEvaluator
 from repro.integrity.relevance import RelevanceIndex
 from repro.integrity.transactions import Transaction
 from repro.integrity.update_constraints import (
@@ -147,9 +146,9 @@ class IntegrityChecker:
 
     *old_engine*, when given, answers every read of the current state
     D (the ``delta`` old side, rule-update seeds). A transaction
-    manager passes a cache-less engine over its DRed-maintained model,
-    which holds every derived fact already; without one, the database's
-    own engine for *config* re-derives what the reads need.
+    manager passes its committed-state engine over its DRed-maintained
+    model, which holds every derived fact already; without one, the
+    database's own engine for *config* re-derives what the reads need.
     """
 
     def __init__(
@@ -315,7 +314,7 @@ class IntegrityChecker:
         of constraints relevant to the explicit updates only. Complete
         iff no deduction rule connects the updates to the constraints."""
         updates = _normalize_updates(updates)
-        new_eval = NewEvaluator(self.database, updates, config=self.config)
+        engine = self.database.updated(updates).engine(config=self.config)
         violations: List[Violation] = []
         checked: Set[Formula] = set()
         for update in updates:
@@ -324,7 +323,7 @@ class IntegrityChecker:
                     if instance.formula in checked:
                         continue
                     checked.add(instance.formula)
-                    if not new_eval.evaluate(instance.formula):
+                    if not engine.evaluate(instance.formula):
                         violations.append(
                             Violation(
                                 constraint.id,
@@ -334,7 +333,7 @@ class IntegrityChecker:
                         )
         stats = {
             "instances_evaluated": len(checked),
-            "lookups": new_eval.lookup_count,
+            "lookups": engine.lookup_count,
         }
         return CheckResult(violations, stats, "nicolas")
 
@@ -391,8 +390,7 @@ class IntegrityChecker:
         }
         if not compiled.update_constraints:
             return CheckResult([], stats, "lloyd")
-        new_eval = NewEvaluator(self.database, updates, config=self.config)
-        engine = new_eval.engine
+        engine = self.database.updated(updates).engine(config=self.config)
         violations: List[Violation] = []
         checked: Set[Formula] = set()
         rechecked_constraints: Set[str] = set()

@@ -23,7 +23,6 @@ prefix      layer
 ``plan.``   join planner
 ``magic.``  magic-sets / supplementary rewrite + saturation
 ``store.``  fact-store backends (group index builds, …)
-``cache.``  derived-result cache
 ``wal.``    write-ahead log
 ``txn.``    transaction manager / group commit
 ``gate.``   integrity-gate admission

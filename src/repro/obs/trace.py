@@ -5,7 +5,7 @@ one query/check evaluates, and every layer that does interesting work
 records into it — the planner its chosen literal order with estimates,
 the magic rewriter its adornments and sup predicates, the fixpoint loop
 its per-round delta sizes, the join kernel its aggregate row/probe
-counts, the caches their consults. When no trace is active every
+counts. When no trace is active every
 instrumentation site is a single ``current_trace() is None`` check, so
 tracing-off overhead is one attribute read per site.
 
@@ -82,7 +82,6 @@ class QueryTrace:
         "join",
         "wcoj",
         "wcoj_dropped",
-        "cache",
         "spans",
         "spans_dropped",
         "_span_stack",
@@ -136,7 +135,6 @@ class QueryTrace:
         # shape()).
         self.wcoj: List[Dict[str, Any]] = []
         self.wcoj_dropped = 0
-        self.cache: Dict[str, int] = {"hits": 0, "misses": 0}
         # Timed server-side work units under this trace_id.
         self.spans: List[Span] = []
         self.spans_dropped = 0
@@ -263,9 +261,6 @@ class QueryTrace:
             return
         self.rounds.append(new_facts)
 
-    def record_cache(self, hit: bool) -> None:
-        self.cache["hits" if hit else "misses"] += 1
-
     def finish(self, result: Optional[str] = None) -> None:
         if result is not None:
             self.result = result
@@ -296,7 +291,6 @@ class QueryTrace:
             "join": dict(self.join),
             "wcoj": [dict(decision) for decision in self.wcoj],
             "wcoj_dropped": self.wcoj_dropped,
-            "cache": dict(self.cache),
             "spans": [span.to_dict() for span in self.spans],
             "spans_dropped": self.spans_dropped,
             "attrs": dict(self.attrs),
@@ -395,12 +389,6 @@ def render_trace(data: Dict[str, Any]) -> str:
             lines.append(
                 f"│   └─ … {data['wcoj_dropped']} more decisions"
             )
-    cache = data.get("cache") or {}
-    if cache.get("hits") or cache.get("misses"):
-        lines.append(
-            f"├─ cache: {cache['hits']} hits / "
-            f"{cache['misses']} misses"
-        )
     spans = data.get("spans") or ()
     if spans:
         lines.append("├─ spans")

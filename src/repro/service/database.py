@@ -192,9 +192,8 @@ class ManagedDatabase:
 
     def stats(self) -> dict:
         """One flat dict: state sizes (``lsn``/``facts``/…), the
-        commit counters under their ``txn.*`` registry names, the
-        result cache's ``cache.*`` counters (when caching is on) and
-        the service latency histograms in full — count/sum/mean,
+        commit counters under their ``txn.*`` registry names and the
+        service latency histograms in full — count/sum/mean,
         bucket counts, and p50/p95/p99 quantiles, exactly as
         :meth:`~repro.obs.metrics.Histogram.to_dict` renders them for
         the ``metrics`` verb and :func:`repro.metrics` — every metric
@@ -210,9 +209,6 @@ class ManagedDatabase:
                 "backend": self.manager.config.backend,
                 **self.manager.stats,
             }
-            cache = self.manager.cache_stats()
-            if cache is not None:
-                out.update(cache)
         snapshot = default_registry().snapshot()
         for name in self.LATENCY_SERIES:
             series = snapshot.get(name)

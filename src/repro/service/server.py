@@ -21,6 +21,8 @@ Ops::
     commit      session                           validate+gate+log+apply
     abort       session
     add_constraint  db constraint [constraint_id budget max_levels]
+    add_rule    db rule                           lint+gate+log+install a rule
+    lint        db                                static-analysis diagnostics
     model       db                                maintained canonical model
     checkpoint  db                                snapshot + WAL reset
     stats       db
@@ -86,6 +88,7 @@ def _trace_label(request: Dict) -> str:
         request.get("formula")
         or request.get("atom")
         or request.get("constraint")
+        or request.get("rule")
         or request.get("db")
         or request.get("session")
     )

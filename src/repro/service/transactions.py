@@ -24,12 +24,11 @@ keeps one :class:`~repro.datalog.query.QueryEngine` over the
 DRed-maintained canonical model with an empty rule set — the model is
 complete, so nothing is derived at read time — and the engine survives
 commits because DRed updates that store in place. Unstaged
-``holds``/``evaluate`` calls read through it with the manager's result
-cache; the gate reads the old state D (``delta``'s old side, rule-DDL
-seeds, constraint-DDL triage) through the same engine when the cache is
-off and through a cache-less twin when it is on. Only the new
-state U(D) and staged session reads still go through overlay engines
-that derive on demand.
+``holds``/``evaluate`` calls and the gate's reads of the old state D
+(``delta``'s old side, rule-DDL seeds, constraint-DDL triage) all go
+through it, so a read is a store probe.
+Only the new state U(D) and staged session reads still go through
+overlay engines that derive on demand.
 
 Group commit: concurrent commit calls elect a leader that drains the
 queue and, for mutually non-conflicting transactions, runs **one**
@@ -100,7 +99,6 @@ from repro.logic.safety import constraint_predicates
 from repro.obs.metrics import default_registry
 from repro.obs.trace import current_trace, maybe_trace
 from repro.storage.engine import StorageEngine, apply_transaction
-from repro.storage.result_cache import ResultCache
 from repro.storage.wal import WalRecord
 
 # Service-level latency distributions (seconds):
@@ -122,7 +120,7 @@ _QUEUE_DEPTH = default_registry().gauge("txn.queue_depth")
 #: rejected as ``conflict`` (stale session) — commit promptly.
 CONFLICT_WINDOW = 1024
 
-#: The committed-state engines' rule set: they read the complete
+#: The committed-state engine's rule set: it reads the complete
 #: canonical model, so there is nothing left to derive.
 _NO_RULES = Program()
 
@@ -379,14 +377,6 @@ class TransactionManager:
         self.version = version
         self.method = method
         self.config = config
-        # The manager-owned derived-result cache: shared by every
-        # engine over the *committed* state (staged overlay views never
-        # see it) and invalidated per predicate key from DRed's exact
-        # change sets in :meth:`_apply` — not flushed wholesale per
-        # commit.
-        self.result_cache = (
-            ResultCache(config.cache_size) if config.cache else None
-        )
         self._attach_model()
         self.group_commit = group_commit
         self.snapshot_interval = snapshot_interval
@@ -436,34 +426,20 @@ class TransactionManager:
         self._stat_counters[key].inc(amount)
 
     def _attach_model(self) -> None:
-        """Build the committed-state engines over ``self.model``.
+        """Build the committed-state engine over ``self.model``.
 
-        The canonical model is complete, so they run with an empty rule
-        set and derive nothing at read time. DRed mutates the model
-        store in place, so they survive every fact commit; only
-        replacing ``self.model`` (rule DDL) calls for new ones. Reads
-        share the manager's result cache. The gate probes the model
-        without a cache, so with the cache on it gets a cache-less
-        twin (``cache=False``: a private cache would never see DRed's
-        invalidations); with it off, the read engine already is one."""
-        store = self.model.model
-        self._read_engine = QueryEngine(
-            store,
-            _NO_RULES,
-            config=self.config,
-            result_cache=self.result_cache,
-        )
-        self._gate_engine = (
-            self._read_engine
-            if self.result_cache is None
-            else QueryEngine(
-                store, _NO_RULES, config=self.config.replace(cache=False)
-            )
+        The canonical model is complete, so it runs with an empty rule
+        set and derives nothing at read time. DRed mutates the model
+        store in place, so it survives every fact commit; only
+        replacing ``self.model`` (rule DDL) calls for a new one. It
+        serves unstaged reads and the gate's old-state reads alike."""
+        self._committed_engine = QueryEngine(
+            self.model.model, _NO_RULES, config=self.config
         )
 
     def _new_checker(self) -> IntegrityChecker:
         return IntegrityChecker(
-            self.database, config=self.config, old_engine=self._gate_engine
+            self.database, config=self.config, old_engine=self._committed_engine
         )
 
     # -- sessions -----------------------------------------------------------------
@@ -483,14 +459,14 @@ class TransactionManager:
 
     def _engine(self, staged: Sequence[Literal]) -> QueryEngine:
         """The engine for a read: staged overlay views get a private
-        engine (never the shared cache — their answers depend on
-        uncommitted writes); unstaged reads go to the committed-state
-        engine over the maintained model."""
+        engine (their answers depend on uncommitted writes); unstaged
+        reads go to the committed-state engine over the maintained
+        model."""
         if staged:
             return self.database.updated(list(staged)).engine(
                 config=self.config
             )
-        return self._read_engine
+        return self._committed_engine
 
     def evaluate(self, formula: Formula, staged: Sequence[Literal] = ()) -> bool:
         # maybe_trace is a no-op unless config.slow_query_ms is set or
@@ -791,7 +767,7 @@ class TransactionManager:
         record = WalRecord(last_lsn, "batch", {"txns": entries})
         if self.storage is not None:
             self.storage.log(record)
-        self._apply(merged)
+        apply_transaction(merged, self.database, self.model)
         for offset, request in enumerate(group):
             lsn = first_lsn + offset
             self._log_commit(lsn, request.effective)
@@ -820,7 +796,7 @@ class TransactionManager:
         record = WalRecord(lsn, "txn", {"updates": transaction.to_strings()})
         if self.storage is not None:
             self.storage.log(record)
-        self._apply(transaction)
+        apply_transaction(transaction, self.database, self.model)
         self._log_commit(lsn, transaction)
         self.version = lsn
         self._bump("txn.commits")
@@ -867,17 +843,13 @@ class TransactionManager:
         if self.storage is not None:
             self.storage.log(record)
         self.database.add_rule(rule)
-        # The maintained model (with the engines over it), the
-        # checker's dependency indexes and any cached derived results
-        # are all program-dependent: rebuild the first two, flush the
-        # third wholesale (unlike fact commits, a rule change has no
-        # exact DRed change set here).
+        # The maintained model (with the engine over it) and the
+        # checker's dependency indexes are program-dependent: rebuild
+        # both.
         self.model = MaintainedModel(
             self.database.facts, self.database.program, config=self.config
         )
         self._attach_model()
-        if self.result_cache is not None:
-            self.result_cache.clear()
         self.checker = self._new_checker()
         self.version = lsn
         self._bump("txn.ddl_committed")
@@ -925,7 +897,7 @@ class TransactionManager:
             id=constraint_id,
             max_fresh_constants=request.budget,
             max_levels=request.max_levels,
-            engine=self._gate_engine,
+            engine=self._committed_engine,
         )
         if triage.status != ACCEPTED:
             self._bump("txn.ddl_rejected")
@@ -947,8 +919,6 @@ class TransactionManager:
             self.storage.log(record)
         self.database.add_constraint(request.source, id=constraint_id)
         # The relevance/dependency indexes are constraint-dependent.
-        # The result cache stays warm: DDL changes which formulas are
-        # *checked*, not the truth of any cached query.
         self.checker = self._new_checker()
         self.version = lsn
         self._bump("txn.ddl_committed")
@@ -965,18 +935,6 @@ class TransactionManager:
         while candidate in taken:
             candidate = f"{candidate}'"
         return candidate
-
-    def _apply(self, transaction: Transaction) -> None:
-        # The same helper WAL replay uses: live-commit state and
-        # recovered state agree by construction, not by hand-sync.
-        inserted, deleted = apply_transaction(
-            transaction, self.database, self.model
-        )
-        if self.result_cache is not None:
-            # DRed hands back exactly the model atoms whose truth
-            # changed; only cache entries depending on one of those
-            # predicate keys are dropped.
-            self.result_cache.invalidate(itertools.chain(inserted, deleted))
 
     def _log_commit(self, version: int, transaction: Transaction) -> None:
         if (
@@ -1000,13 +958,6 @@ class TransactionManager:
             and self._commits_since_checkpoint >= self.snapshot_interval
         ):
             self.checkpoint()
-
-    def cache_stats(self) -> Optional[dict]:
-        """Hit/miss/invalidation counters of the shared result cache,
-        or ``None`` when caching is off."""
-        if self.result_cache is None:
-            return None
-        return self.result_cache.stats()
 
     def checkpoint(self) -> int:
         """Fold the WAL into a snapshot now; returns the snapshot LSN."""

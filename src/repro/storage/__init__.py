@@ -2,8 +2,7 @@
 
 Two halves live here. :mod:`repro.storage.backends` is the fact-store
 contract (:class:`StoreBackend`) with its dict and sqlite
-implementations, plus :mod:`repro.storage.result_cache`, the
-precisely-invalidated derived-result cache. The remaining modules are
+implementations. The remaining modules are
 the service layer's durability substrate: committed transactions are
 appended to a checksummed, newline-delimited write-ahead log *before*
 they are applied in memory; periodic snapshots bound replay time; and
@@ -32,7 +31,6 @@ _EXPORTS = {
     "StoreBackend": "repro.storage.backends",
     "StoreCapacityError": "repro.storage.backends",
     "make_store": "repro.storage.backends",
-    "ResultCache": "repro.storage.result_cache",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -61,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         make_store,
     )
     from repro.storage.engine import RecoveredState, StorageEngine  # noqa: F401
-    from repro.storage.result_cache import ResultCache  # noqa: F401
     from repro.storage.snapshot import (  # noqa: F401
         Snapshot,
         load_latest_snapshot,

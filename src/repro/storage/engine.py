@@ -56,8 +56,7 @@ def apply_transaction(
     live commits and WAL replay both call this, which is what makes
     the recovered state equal the acknowledged state by construction.
 
-    Returns DRed's exact ``(inserted, deleted)`` model change sets —
-    the invalidation keys for any derived-result caches layered above.
+    Returns DRed's exact ``(inserted, deleted)`` model change sets.
     """
     for literal in transaction.net():
         database.apply_update(literal)

@@ -1,9 +1,11 @@
-"""Unit tests for the ``new`` and ``delta`` meta-interpreters."""
+"""Unit tests for the ``new`` and ``delta`` meta-interpreters.
+
+``new(U, F)`` is evaluation over the overlay database
+``db.updated(U).engine()``."""
 
 
 from repro.datalog.database import DeductiveDatabase
 from repro.integrity.delta_eval import DeltaEvaluator
-from repro.integrity.new_eval import NewEvaluator
 from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_fact, parse_formula, parse_literal
 
@@ -15,19 +17,19 @@ def db_from(text):
 class TestNewEvaluator:
     def test_insertion_visible(self):
         db = db_from("p(a).")
-        new = NewEvaluator(db, parse_literal("p(b)"))
+        new = db.updated(parse_literal("p(b)")).engine()
         assert new.holds(parse_fact("p(b)"))
         assert not db.holds("p(b)")
 
     def test_deletion_invisible(self):
         db = db_from("p(a).")
-        new = NewEvaluator(db, parse_literal("not p(a)"))
+        new = db.updated(parse_literal("not p(a)")).engine()
         assert not new.holds(parse_fact("p(a)"))
         assert db.holds("p(a)")
 
     def test_derived_consequences(self):
         db = db_from("member(X, Y) :- leads(X, Y).")
-        new = NewEvaluator(db, parse_literal("leads(ann, sales)"))
+        new = db.updated(parse_literal("leads(ann, sales)")).engine()
         assert new.holds(parse_fact("member(ann, sales)"))
 
     def test_recursive_consequences(self):
@@ -38,13 +40,13 @@ class TestNewEvaluator:
             anc(X, Y) :- par(X, Z), anc(Z, Y).
             """
         )
-        new = NewEvaluator(db, parse_literal("par(c, d)"))
+        new = db.updated(parse_literal("par(c, d)")).engine()
         assert new.holds(parse_fact("anc(a, d)"))
         assert not db.holds("anc(a, d)")
 
     def test_formula_evaluation(self):
         db = db_from("student(jack).")
-        new = NewEvaluator(db, parse_literal("attends(jack, ddb)"))
+        new = db.updated(parse_literal("attends(jack, ddb)")).engine()
         formula = normalize_constraint(
             parse_formula("forall X: student(X) -> attends(X, ddb)")
         )
@@ -52,9 +54,9 @@ class TestNewEvaluator:
 
     def test_transaction_evaluation(self):
         db = db_from("p(a). q(a).")
-        new = NewEvaluator(
-            db, [parse_literal("not p(a)"), parse_literal("p(b)")]
-        )
+        new = db.updated(
+            [parse_literal("not p(a)"), parse_literal("p(b)")]
+        ).engine()
         assert not new.holds(parse_fact("p(a)"))
         assert new.holds(parse_fact("p(b)"))
         assert new.holds(parse_fact("q(a)"))

@@ -115,8 +115,6 @@ class TestDefaultRegistry:
             "join.wcoj_joins",
             "join.wcoj_fallbacks",
             "store.group_builds",
-            "cache.hits",
-            "cache.misses",
             "magic.rewrites",
             "magic.derivations",
             "wal.appends",

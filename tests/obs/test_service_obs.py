@@ -18,11 +18,6 @@ member(X, Y) :- leads(X, Y).
 forall X, Y: member(X, Y) -> employee(X).
 """
 
-#: Metric-shaped stats keys that are per-instance state (cache sizes),
-#: reported under the registry naming scheme but not process-global.
-PER_INSTANCE = {"cache.entries", "cache.max_entries"}
-
-
 @pytest.fixture
 def server(tmp_path):
     instance = DatabaseServer(tmp_path / "root", port=0, sync=False).start()
@@ -47,7 +42,7 @@ class TestStatsNaming:
         registered = set(default_registry().snapshot())
         metric_keys = {key for key in payload if "." in key}
         assert metric_keys, "stats should carry layer.metric keys"
-        unknown = metric_keys - registered - PER_INSTANCE
+        unknown = metric_keys - registered
         assert not unknown, f"stats keys missing from registry: {unknown}"
 
     def test_latency_series_appear_after_a_commit(self, client):

@@ -51,12 +51,6 @@ class TestRecording:
         assert trace.rounds == [3, 1, 0]
         assert trace.total_derived == 4
 
-    def test_cache_consults(self):
-        trace = QueryTrace("q")
-        trace.record_cache(True)
-        trace.record_cache(False)
-        assert trace.cache == {"hits": 1, "misses": 1}
-
 
 class TestActivation:
     def test_trace_query_activates_and_finishes(self):
@@ -97,7 +91,6 @@ class TestRender:
         trace.record_plan("body", ("edge(X, Z)", "path(Z, Y)"), (3, 9))
         trace.record_round(4)
         trace.join["joins"] = 2
-        trace.record_cache(False)
         with trace.phase("saturate"):
             pass
         trace.finish("True")
@@ -107,7 +100,6 @@ class TestRender:
         assert "plan" in text and "edge(X, Z) (~3)" in text
         assert "rounds: [4]" in text
         assert "join: 2 joins" in text
-        assert "cache: 0 hits / 1 misses" in text
         assert "saturate" in text
         assert "result: True" in text
 

@@ -230,7 +230,7 @@ class TestMaintainedModelAgreement:
     """DRed maintenance has no magic path, so the supplementary knob
     cannot reach it by construction — the exec sweep is the full
     matrix here; the checker sweeps above cover supplementary end to
-    end (their DeltaEvaluator/NewEvaluator engines thread it)."""
+    end (their delta and updated-state engines thread it)."""
 
     @given(programs(), edbs(), transactions())
     @settings(max_examples=40, deadline=None)

@@ -13,7 +13,6 @@ from repro.datalog.bottomup import compute_model
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.program import Program, Rule
 from repro.integrity.delta_eval import DeltaEvaluator
-from repro.integrity.new_eval import NewEvaluator
 from repro.logic.formulas import Atom, Literal
 from repro.logic.parser import parse_rule
 
@@ -80,7 +79,7 @@ class TestNewEvaluator:
     @given(databases(), updates())
     @settings(max_examples=80, deadline=None)
     def test_new_agrees_with_materialized_update(self, db, update):
-        new = NewEvaluator(db, update)
+        new = db.updated(update).engine()
         after = compute_model(db.updated(update).facts.copy(), db.program)
         # Check every atom of the combined space.
         atoms = set(after) | set(compute_model(db.facts.copy(), db.program))

@@ -84,7 +84,7 @@ def histories(draw):
             max_size=8,
         )
     )
-    return db, transactions, draw(st.booleans())
+    return db, transactions
 
 
 def fresh(facts, db):
@@ -112,10 +112,8 @@ def assert_agrees(managed, oracle):
     suppress_health_check=[HealthCheck.filter_too_much],
 )
 def test_service_agrees_with_recomputation(case):
-    db, transactions, cache = case
-    managed = repro.open(
-        source=db.to_source(), config=repro.EngineConfig(cache=cache)
-    )
+    db, transactions = case
+    managed = repro.open(source=db.to_source())
     facts = set(db.facts)
     assert_agrees(managed, fresh(facts, db))
     for transaction in transactions:

@@ -2,10 +2,9 @@
 maintained model: one engine over the DRed-maintained canonical model,
 kept across commits and rebuilt only when rule DDL replaces the model.
 
-The pins here are the two ways a persistent engine goes wrong: a
-private result cache nothing invalidates (the gate then reads a stale
-truth value and admits a violating commit), and an engine left over
-the model that rule DDL replaced."""
+The pins here are the two ways a persistent engine goes wrong: a stale
+truth value read by the gate (which then admits a violating commit),
+and an engine left over the model that rule DDL replaced."""
 
 import pytest
 
@@ -18,12 +17,8 @@ forall O, C: order_by(O, C) -> exists L: item_of(L, O).
 
 
 @pytest.mark.parametrize("group_commit", [True, False])
-def test_gate_sees_committed_items_under_the_result_cache(group_commit):
-    db = repro.open(
-        source=ORDERS,
-        config=repro.EngineConfig(cache=True),
-        group_commit=group_commit,
-    )
+def test_gate_sees_committed_items(group_commit):
+    db = repro.open(source=ORDERS, group_commit=group_commit)
     # Admitting the order probes item_of(l1, o1) and item_of(l2, o1)
     # while they are still absent from the committed state.
     placed = db.submit(
@@ -40,11 +35,9 @@ def test_gate_sees_committed_items_under_the_result_cache(group_commit):
     assert db.submit("not item_of(l2, o1)").status == "rejected"
 
 
-@pytest.mark.parametrize("cache", [True, False])
-def test_reads_follow_the_model_rebuilt_by_rule_ddl(cache):
-    db = repro.open(
-        source="p(a).", config=repro.EngineConfig(cache=cache)
-    )
+@pytest.mark.parametrize("group_commit", [True, False])
+def test_reads_follow_the_model_rebuilt_by_rule_ddl(group_commit):
+    db = repro.open(source="p(a).", group_commit=group_commit)
     assert db.holds("q(a)") is False
     assert db.add_rule("q(X) :- p(X)").status == "committed"
     assert db.holds("q(a)") is True
@@ -61,8 +54,7 @@ def test_gate_after_rule_ddl_reads_the_rebuilt_model():
         source="""
         p(a). r(a).
         forall X: q(X) -> r(X).
-        """,
-        config=repro.EngineConfig(cache=True),
+        """
     )
     assert db.add_rule("q(X) :- p(X)").status == "committed"
     # q(a) is derived only under the new rule; deleting its r(a)

@@ -98,6 +98,12 @@ class TestExplainRoundTrip:
         second = client.explain("hr", "employee(ann)")["trace_id"]
         assert first != second
 
+    def test_add_rule_trace_is_labelled_with_the_rule(self, client):
+        rule = "staff(X) :- employee(X)"
+        response = client.call("add_rule", db="hr", rule=rule, explain=True)
+        assert response["status"] == "committed"
+        assert rule in response["explain"]["label"]
+
     def test_plain_requests_skip_the_explain_payload(self, client):
         response = client.call("query", db="hr", formula="employee(ann)")
         assert "explain" not in response

@@ -264,17 +264,17 @@ class TestBackendAndCacheKnobs:
         assert "invalid choice" in err
         assert "dict" in err and "sqlite" in err
 
-    def test_cache_flag_parses_both_ways(self, db_file):
-        assert (
-            main(["query", db_file, "member(ann, sales)", "--cache"]) == 0
-        )
-        assert (
-            main(["query", db_file, "member(ann, sales)", "--no-cache"]) == 0
-        )
-        assert (
-            main(["check", db_file, "--update", "employee(bob)", "--cache"])
-            == 0
-        )
+    def test_cache_flag_is_gone(self, db_file, capsys):
+        for command, *rest in (
+            ["query", "member(ann, sales)", "--cache"],
+            ["query", "member(ann, sales)", "--no-cache"],
+            ["check", "--update", "employee(bob)", "--cache"],
+            ["serve", "--cache"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, db_file, *rest])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestJsonFormat:

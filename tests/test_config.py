@@ -41,10 +41,16 @@ class TestValidation:
             ({"slow_query_ms": -1}, "slow_query_ms"),
             ({"slow_query_ms": float("nan")}, "slow_query_ms"),
             ({"slow_query_ms": float("inf")}, "slow_query_ms"),
+            ({"join_algo": "leapfrog"}, "unknown join algo"),
+            ({"cache": "yes"}, "cache"),
         ],
     )
     def test_every_knob_validated_in_one_place(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        """A bad value of a field is a ValueError; a name that is not a
+        field (``cache_size`` was removed) is a TypeError."""
+        fields = {field.name for field in dataclasses.fields(EngineConfig)}
+        error = ValueError if set(kwargs) <= fields else TypeError
+        with pytest.raises(error, match=message):
             EngineConfig(**kwargs)
 
     @pytest.mark.parametrize("raw", ["nan", "-1", "inf", "soon"])
@@ -70,12 +76,33 @@ class TestValidation:
             config.replace(strategy="psychic")
 
     def test_key_excludes_cache_knobs(self):
-        """Two configs differing only in caching answer queries
-        identically — they must share a cache identity."""
-        a = EngineConfig(cache=True, cache_size=7)
+        """``cache`` is a no-op: two configs differing only in it answer
+        queries identically, so they share an evaluation identity."""
+        a = EngineConfig(cache=True)
         b = EngineConfig(cache=False)
         assert a.key() == b.key()
         assert EngineConfig(strategy="magic").key() != a.key()
+
+    def test_fields_are_exactly_the_knobs(self):
+        assert [field.name for field in dataclasses.fields(EngineConfig)] == [
+            "strategy",
+            "plan",
+            "exec_mode",
+            "supplementary",
+            "backend",
+            "cache",
+            "slow_query_ms",
+            "join_algo",
+        ]
+
+    def test_cache_is_accepted_and_ignored(self):
+        db = repro.open(
+            source="p(a). q(X) :- p(X).", config=EngineConfig(cache=True)
+        )
+        assert db.config.cache is True
+        assert db.holds("q(a)") is True
+        assert db.submit("not p(a)").status == "committed"
+        assert db.holds("q(a)") is False
 
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -88,7 +115,6 @@ def seams():
     from repro.datalog.query import QueryEngine
     from repro.datalog.topdown import TabledEvaluator
     from repro.integrity.delta_eval import DeltaEvaluator
-    from repro.integrity.new_eval import NewEvaluator
     from repro.service.server import DatabaseServer
     from repro.service.transactions import TransactionManager
     from repro.storage.engine import StorageEngine
@@ -107,7 +133,6 @@ def seams():
         TabledEvaluator.__init__,
         repro.IntegrityChecker.__init__,
         DeltaEvaluator.__init__,
-        NewEvaluator.__init__,
         TransactionManager.__init__,
         repro.ManagedDatabase.__init__,
         DatabaseServer.__init__,
@@ -213,9 +238,9 @@ class TestSeamAcceptance:
     def test_managed_database(self):
         import repro
 
-        db = repro.open(source="p(a).", config=EngineConfig(cache=True))
-        assert db.config.cache is True
-        assert db.manager.result_cache is not None
+        db = repro.open(source="p(a).", config=EngineConfig(strategy="magic"))
+        assert db.config.strategy == "magic"
+        assert db.manager.config.strategy == "magic"
 
     def test_loose_knobs_are_gone_not_ignored(self):
         from repro import DeductiveDatabase

@@ -23,7 +23,6 @@ class TestAll:
             "SatResult",
             "Violation",
             "StoreBackend",
-            "ResultCache",
             "BACKENDS",
         ):
             assert name in repro.__all__, name
@@ -73,16 +72,13 @@ class TestOpen:
         reopened.close()
 
     def test_config_threads_everywhere(self, tmp_path):
-        config = repro.EngineConfig(
-            strategy="magic", backend="sqlite", cache=True
-        )
+        config = repro.EngineConfig(strategy="magic", backend="sqlite")
         db = repro.open(source=self.SOURCE, config=config)
         assert db.config is config
         assert db.manager.checker.config is config
         assert type(db.database.facts).__name__ == "SqliteFactStore"
         assert db.query("member(ann, sales)") is True
         assert db.stats()["backend"] == "sqlite"
-        assert db.stats()["cache.entries"] >= 1
 
     def test_options_pass_through(self):
         db = repro.open(source=self.SOURCE, method="full", group_commit=False)
