@@ -40,6 +40,7 @@ from repro.config import (
     DEFAULT_JOIN,
     DEFAULT_PLAN,
     DEFAULT_SLOW_QUERY_MS,
+    DEFAULT_STRATEGY,
     EXEC_MODES,
     JOIN_ALGOS,
     PLANS,
@@ -115,12 +116,10 @@ def _add_strategy_option(command) -> None:
     command.add_argument(
         "--strategy",
         choices=STRATEGIES,
-        default="lazy",
+        default=DEFAULT_STRATEGY,
         help="where intensional facts come from: 'lazy' materializes "
-        "per dependency closure, 'topdown' is tabled resolution, "
-        "'model' materializes everything, 'magic' evaluates "
-        "demand-driven via the magic-sets rewrite "
-        "(default: %(default)s)",
+        "per dependency closure, 'magic' evaluates demand-driven via "
+        "the magic-sets rewrite (default: %(default)s)",
     )
     command.add_argument(
         "--no-supplementary",

@@ -12,9 +12,9 @@ it keys engine memos directly.
 The knobs:
 
 ``strategy``
-    How queries are answered: ``lazy`` (per-closure materialization),
-    ``topdown`` (tabled), ``model`` (full materialization), ``magic``
-    (goal-directed bottom-up).
+    How queries are answered: ``lazy`` (per-closure materialization)
+    or ``magic`` (goal-directed bottom-up). Both feed the same
+    semi-naive fixpoint.
 ``plan``
     Join order: ``greedy`` (cardinality-ranked) or ``source`` (textual).
 ``exec_mode``
@@ -55,7 +55,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-STRATEGIES = ("lazy", "topdown", "model", "magic")
+STRATEGIES = ("lazy", "magic")
 PLANS = ("greedy", "source")
 #: ``batch`` is the set-at-a-time kernel, ``tuple`` the oracle the
 #: differential suite compares it against.
@@ -122,6 +122,7 @@ def _default_slow_query_ms() -> Optional[float]:
     return _slow_query_ms(value, "REPRO_SLOW_QUERY_MS")
 
 
+DEFAULT_STRATEGY = "lazy"
 DEFAULT_PLAN = "greedy"
 DEFAULT_EXEC = _env_choice("REPRO_EXEC", "exec mode", EXEC_MODES, "batch")
 DEFAULT_JOIN = _env_choice("REPRO_JOIN", "join algo", JOIN_ALGOS, "auto")
@@ -155,7 +156,7 @@ def default_metrics_port() -> Optional[int]:
 class EngineConfig:
     """Immutable bundle of every evaluation/storage knob."""
 
-    strategy: str = "lazy"
+    strategy: str = DEFAULT_STRATEGY
     plan: str = DEFAULT_PLAN
     exec_mode: str = DEFAULT_EXEC
     supplementary: bool = True

@@ -2,8 +2,9 @@
 
 This subpackage is the stand-in for the Prolog–DBMS coupling the paper
 relied on ([BOCC 86]): an indexed extensional store, stratified Datalog
-rules, a bottom-up semi-naive evaluator, a tabled top-down evaluator
-(in the spirit of [VIEI 87]), and a formula-level query engine that the
+rules, a bottom-up semi-naive evaluator, a magic-sets rewrite that
+makes it goal-directed (standing in for the recursive query evaluator
+the paper assumes, [VIEI 87]), and a formula-level query engine that the
 integrity and satisfiability layers drive.
 """
 
@@ -36,7 +37,6 @@ from repro.datalog.program import (
 )
 from repro.datalog.bottomup import compute_model, compute_model_naive
 from repro.datalog.incremental import MaintainedModel
-from repro.datalog.topdown import TabledEvaluator
 from repro.datalog.query import QueryEngine
 from repro.datalog.database import Constraint, DeductiveDatabase
 
@@ -58,7 +58,6 @@ __all__ = [
     "Rule",
     "SourcePlanner",
     "StratificationError",
-    "TabledEvaluator",
     "compute_model",
     "compute_model_naive",
     "join_body",

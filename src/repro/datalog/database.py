@@ -236,15 +236,11 @@ class DeductiveDatabase:
         self, *, config: Optional[EngineConfig] = None
     ) -> StoreBackend:
         """Materialize the full canonical model (EDB plus everything
-        derivable). The model store inherits the EDB's backend."""
+        derivable). The model store inherits the EDB's backend; over a
+        simulated state it is a dict store."""
         from repro.datalog.bottomup import compute_model
 
-        base = (
-            self.facts.copy()
-            if isinstance(self.facts, OverlayFactStore)
-            else self.facts
-        )
-        return compute_model(base, self.program, config=config)
+        return compute_model(self.facts, self.program, config=config)
 
     # -- constraint sweep (the naive baseline) ----------------------------------------------------
 
@@ -252,12 +248,9 @@ class DeductiveDatabase:
         self, *, config: Optional[EngineConfig] = None
     ) -> List[Constraint]:
         """Evaluate *every* constraint from scratch — the full check the
-        paper's methods avoid. Kept as the ground-truth baseline; a
-        sweep touches everything, so the default config materializes
-        the whole model up front."""
-        engine = self.engine(
-            config=config or EngineConfig(strategy="model")
-        )
+        paper's methods avoid. Kept as the ground-truth baseline; the
+        engine materializes only the predicates the constraints read."""
+        engine = self.engine(config=config)
         return [
             c for c in self.constraints if not engine.evaluate(c.formula)
         ]

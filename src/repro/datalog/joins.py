@@ -1,6 +1,6 @@
 """Shared body-join machinery for rule evaluation.
 
-Every evaluator (bottom-up, top-down tabled, maintenance, delta)
+Every evaluator (bottom-up, magic, maintenance, delta)
 reduces rule application to the same operation: enumerate the
 substitutions that make a conjunction of literals true against some
 fact source. Two execution models implement it:
@@ -75,10 +75,9 @@ BatchProbe = Callable[[int, Atom], Iterable[Tuple[Constant, ...]]]
 #: :func:`join_body` calls that asked for the batch model but fell back
 #: to the tuple oracle because the initial binding mapped variables to
 #: non-constants — the relational representation carries value rows
-#: only. Tests pin "no fallback" on paths that are supposed to stay
-#: relational (e.g. tabled evaluation after its standardize-apart
-#: pass). A thread-safe :class:`repro.obs.metrics.Counter`: the service
-#: layer commits from multiple threads.
+#: only. Benchmarks read it to confirm the default workloads stay
+#: relational. A thread-safe :class:`repro.obs.metrics.Counter`: the
+#: service layer commits from multiple threads.
 _TUPLE_FALLBACKS = default_registry().counter("join.tuple_fallbacks")
 
 #: Leapfrog dispatch accounting: bodies the worst-case-optimal path
@@ -497,8 +496,7 @@ def join_literals_rows(
     same answer multiset; only enumeration order and cost differ.
 
     *binding* must map variables to constants — :func:`join_body` falls
-    back to the tuple path when it does not (tabled evaluation used to
-    hit this with head unifiers before its standardize-apart pass).
+    back to the tuple path when it does not.
 
     *initial*, when given, is a named ``(schema, rows)`` relation the
     pipeline starts from instead of the unit binding row — the seam

@@ -1,7 +1,7 @@
 """Selectivity-driven join planning for conjunctive rule bodies.
 
 Every inference method in this library — bottom-up (naive and
-semi-naive) model computation, tabled top-down resolution, DRed
+semi-naive) model computation, its magic-sets rewrite, DRed
 maintenance joins, the ``delta`` meta-interpreter's rest-of-body
 evaluation — bottoms out in the same kernel: enumerate the
 substitutions satisfying a conjunction of literals

@@ -8,7 +8,8 @@ the library needs:
 * ``evaluate(formula)`` / ``answers(...)`` — truth of a (restricted-
   quantification) formula, and answers to restriction conjunctions.
 
-Three strategies are available:
+Two strategies are available, both feeding the same semi-naive
+fixpoint (:func:`repro.datalog.bottomup.evaluate_stratum`):
 
 ``lazy`` (default)
     Intensional predicates are materialized *per dependency closure* on
@@ -17,13 +18,6 @@ Three strategies are available:
     efficiency argument — an update method that never asks about a
     predicate never pays for it (Section 3.2's first drawback of the
     interleaved approaches).
-
-``topdown``
-    Goal-directed tabled evaluation (:class:`TabledEvaluator`).
-
-``model``
-    Materialize the full canonical model up front; cheapest when every
-    constraint will be swept anyway (the *full check* baseline).
 
 ``magic``
     Goal-directed *bottom-up* evaluation: each query pattern is
@@ -52,7 +46,6 @@ from repro.datalog.planner import (
     make_planner,
 )
 from repro.datalog.program import Program
-from repro.datalog.topdown import TabledEvaluator
 from repro.logic.formulas import (
     And,
     Atom,
@@ -138,17 +131,12 @@ class QueryEngine:
         self._derived = FactStore()
         self._view = _CombinedView(facts, self._derived)
         # The planner consults the engine's own estimate(), which knows
-        # about tabled answers (topdown) and unmaterialized intensional
-        # predicates — the raw view would report those as empty.
+        # about unmaterialized intensional predicates — the raw view
+        # would report those as empty.
         self._planner = make_planner(config.plan, self._view).with_cardinality(
             lambda index, atom: self.estimate(atom)
         )
         self._materialized: Set[str] = set()
-        self._tabled: Optional[TabledEvaluator] = (
-            TabledEvaluator(facts, program, config=config)
-            if config.strategy == "topdown"
-            else None
-        )
         # Demand-driven bottom-up evaluation; patterns whose rewrite
         # declines fall back to the lazy materialization path below.
         self.magic: Optional[MagicEvaluator] = (
@@ -156,17 +144,11 @@ class QueryEngine:
             if config.strategy == "magic"
             else None
         )
-        if config.strategy == "model":
-            self._materialize_all()
         # Instrumentation for the benchmarks: how many atom-level lookups
         # this engine has served.
         self.lookup_count = 0
 
     # -- materialization -------------------------------------------------------------
-
-    def _materialize_all(self) -> None:
-        for pred in self.program.idb_predicates:
-            self._ensure_materialized(pred)
 
     def _ensure_materialized(self, pred: str) -> None:
         if pred in self._materialized or not self.program.is_idb(pred):
@@ -210,8 +192,6 @@ class QueryEngine:
         if not atom.is_ground():
             raise ValueError(f"holds() needs a ground atom: {atom}")
         self.lookup_count += 1
-        if self._tabled is not None:
-            return self._tabled.holds(atom)
         if self.program.is_idb(atom.pred):
             if self.magic is not None and self.magic.supports(atom):
                 # Demand stores cover extensional facts via copy rules.
@@ -224,9 +204,6 @@ class QueryEngine:
     def match_atom(self, pattern: Atom) -> Iterator[Substitution]:
         """Answer substitutions for an atom pattern (EDB ∪ derived)."""
         self.lookup_count += 1
-        if self._tabled is not None:
-            yield from self._tabled.answers(pattern)
-            return
         if self.program.is_idb(pattern.pred):
             if self.magic is not None and self.magic.supports(pattern):
                 yield from self.magic.answers(pattern)
@@ -250,13 +227,9 @@ class QueryEngine:
         """Batched counterpart of :meth:`match_atom`: one value row per
         answer (the pattern's distinct-variable values in
         first-occurrence order). Served from the stores' composite hash
-        indexes wherever the strategy materializes facts; tabled and
-        magic answers go through their substitution APIs."""
+        indexes wherever the strategy materializes facts; magic answers
+        go through their substitution API."""
         self.lookup_count += 1
-        if self._tabled is not None:
-            return rows_from_substitutions(
-                pattern, self._tabled.answers(pattern)
-            )
         if self.program.is_idb(pattern.pred):
             if self.magic is not None and self.magic.supports(pattern):
                 return rows_from_substitutions(
@@ -276,13 +249,11 @@ class QueryEngine:
     def estimate(self, pattern: Atom) -> int:
         """O(1)-ish cardinality estimate for *pattern* over this
         engine's visible state (EDB plus whatever intensional answers
-        are materialized/tabled so far) — the statistic join planners
-        built over an engine consume. An intensional predicate not yet
+        are materialized so far) — the statistic join planners built
+        over an engine consume. An intensional predicate not yet
         materialized has an unknown extent and is costed
         pessimistically so it is not scheduled ahead of known-small
         relations."""
-        if self._tabled is not None:
-            return self._tabled.estimate(pattern)
         if (
             self.program.is_idb(pattern.pred)
             and pattern.pred not in self._materialized

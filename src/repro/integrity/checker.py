@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
+from repro.datalog.program import Program
 from repro.datalog.query import QueryEngine
 from repro.integrity.delta_eval import DeltaEvaluator
 from repro.integrity.dependencies import DependencyIndex
@@ -293,10 +294,16 @@ class IntegrityChecker:
     # -- baselines -----------------------------------------------------------------------
 
     def check_full(self, updates: UpdateInput) -> CheckResult:
-        """Evaluate every constraint over U(D) from scratch."""
+        """Evaluate every constraint over U(D) from scratch: materialize
+        the full canonical model of U(D), then sweep the constraints
+        over it. This is the recompute-everything baseline the simplified
+        methods are measured against, so it derives every predicate,
+        including those no constraint reads."""
         updates = _normalize_updates(updates)
-        view = self.database.updated(updates)
-        engine = view.engine(config=self.config.replace(strategy="model"))
+        model = self.database.updated(updates).canonical_model(
+            config=self.config
+        )
+        engine = QueryEngine(model, Program(), config=self.config)
         violations = [
             Violation(c.id, c.formula)
             for c in self.database.constraints

@@ -394,10 +394,11 @@ def check_satisfiability(
     """One-shot convenience: parse rules + constraints, run the checker.
 
     Keyword arguments are split between the constructor
-    (``existential_reuse``, ``trace``) and :meth:`check`
-    (``max_fresh_constants``, ``max_levels``, ``deepening``).
+    (``existential_reuse``, ``trace``, ``rule_treatment``) and
+    :meth:`check` (``max_fresh_constants``, ``max_levels``,
+    ``deepening``).
     """
-    constructor_keys = {"existential_reuse", "trace"}
+    constructor_keys = {"existential_reuse", "trace", "rule_treatment"}
     constructor_kwargs = {
         k: v for k, v in kwargs.items() if k in constructor_keys
     }

@@ -91,13 +91,10 @@ class SampleDatabase:
     def constants(self) -> Set[Constant]:
         return self.facts.constants()
 
-    def snapshot(self) -> FactStore:
-        """An independent copy of the current facts (the found model)."""
-        return self.facts.copy()
-
     def model_snapshot(self) -> FactStore:
-        """The canonical model of the current state. For the base class
-        (no derivation) this is just the facts."""
+        """An independent copy of the canonical model of the current
+        state. For the base class (no derivation) this is just the
+        facts."""
         return self.facts.copy()
 
     def __len__(self) -> int:

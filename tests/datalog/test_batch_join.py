@@ -16,6 +16,7 @@ from repro.datalog.database import DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.joins import (
     BATCH_CHUNK,
+    join_body,
     join_literals,
     join_literals_batch,
     probe_from_matcher,
@@ -26,6 +27,7 @@ from repro.logic.formulas import Atom, Literal
 from repro.logic.parser import parse_literal
 from repro.logic.substitution import Substitution
 from repro.logic.terms import Constant, Variable
+from repro.obs.metrics import default_registry
 
 
 def atom(pred, *names):
@@ -412,14 +414,39 @@ class TestInitialRelation:
             )
 
 
+class TestTupleFallbackCounter:
+    """``join.tuple_fallbacks`` counts :func:`join_body` calls whose
+    initial binding maps variables to non-constants; the benchmarks pin
+    it at 0 on the default workloads."""
+
+    @staticmethod
+    def tuple_fallbacks():
+        return default_registry().snapshot()["join.tuple_fallbacks"]
+
+    def test_counter_does_count_variable_bindings(self):
+        """The pin is only meaningful if the counter fires when a
+        binding really does map variables to variables."""
+        facts = FactStore([atom("p", "a"), atom("p", "b")])
+        before = self.tuple_fallbacks()
+        answers = list(
+            join_body(
+                [Literal(Atom("p", (X,)))],
+                Substitution({Variable("H"): X}),
+                lambda index, pattern: facts.match_substitutions(pattern),
+                facts.contains,
+                config=EngineConfig(exec_mode="batch"),
+            )
+        )
+        assert len(answers) == 2
+        assert self.tuple_fallbacks() - before == 1
+
+
 class TestExecSeamValidation:
     """Unknown exec modes fail with one line naming the choices when
     the config is built — no seam ever sees one, so none can silently
     run the wrong join path."""
 
     def test_join_body_rejects_unknown_exec(self):
-        from repro.datalog.joins import join_body
-
         store = small_store()
         with pytest.raises(ValueError, match="unknown exec mode"):
             join_body(
@@ -462,14 +489,7 @@ class TestExecSeamValidation:
     def test_evaluators_reject_unknown_exec(self):
         from repro.datalog.magic import MagicEvaluator
         from repro.datalog.program import Program
-        from repro.datalog.topdown import TabledEvaluator
 
-        with pytest.raises(ValueError, match="unknown exec mode"):
-            TabledEvaluator(
-                small_store(),
-                Program(),
-                config=EngineConfig(exec_mode="bogus"),
-            )
         with pytest.raises(ValueError, match="unknown exec mode"):
             MagicEvaluator(
                 small_store(),

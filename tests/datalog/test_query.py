@@ -10,7 +10,7 @@ from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_atom, parse_fact, parse_formula, parse_rule
 from repro.logic.terms import Constant, Variable
 
-STRATEGIES = ["lazy", "topdown", "model"]
+STRATEGIES = ["lazy", "magic"]
 
 X, Y = Variable("X"), Variable("Y")
 
@@ -140,15 +140,6 @@ class TestLazyMaterialization:
         engine.holds(parse_fact("derived(a)"))
         assert "derived" in engine._materialized
         assert "other" not in engine._materialized
-
-    def test_model_strategy_materializes_everything(self):
-        facts = store("base(a)", "heavy(b)")
-        prog = program(
-            "derived(X) :- base(X)",
-            "other(X) :- heavy(X)",
-        )
-        engine = QueryEngine(facts, prog, config=EngineConfig(strategy="model"))
-        assert engine._materialized == {"derived", "other"}
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,5 @@
 """The checker must give identical verdicts under every query-engine
-strategy (lazy per-closure materialization, tabled top-down, full
-model)."""
+strategy (lazy per-closure materialization, magic-sets demand)."""
 
 import pytest
 
@@ -25,7 +24,7 @@ UPDATES = [
     ("not person(c)", False),
 ]
 
-STRATEGIES = ["lazy", "topdown", "model"]
+STRATEGIES = ["lazy", "magic"]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

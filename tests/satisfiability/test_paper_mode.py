@@ -12,7 +12,10 @@ import pytest
 
 from repro.logic.parser import parse_program
 from repro.datalog.program import Program
-from repro.satisfiability.checker import SatisfiabilityChecker
+from repro.satisfiability.checker import (
+    SatisfiabilityChecker,
+    check_satisfiability,
+)
 from repro.workloads.theorem_proving import SECTION5, SECTION5_WEAKENED
 
 
@@ -104,6 +107,18 @@ class TestNegationGap:
     def test_paper_mode_wrongly_refutes(self):
         result = paper_checker(self.SOURCE).check(max_fresh_constants=3)
         assert result.unsatisfiable  # the documented incompleteness
+
+    def test_one_shot_helper_routes_rule_treatment(self):
+        """``check_satisfiability`` hands ``rule_treatment`` to the
+        constructor: the two modes' verdicts differ on this source."""
+        paper = check_satisfiability(
+            self.SOURCE, rule_treatment="paper", max_fresh_constants=3
+        )
+        clausal = check_satisfiability(
+            self.SOURCE, rule_treatment="clausal", max_fresh_constants=3
+        )
+        assert paper.unsatisfiable
+        assert clausal.satisfiable
 
     def test_invalid_rule_treatment_rejected(self):
         with pytest.raises(ValueError):

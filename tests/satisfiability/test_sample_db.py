@@ -79,6 +79,6 @@ class TestEvaluation:
     def test_snapshot_is_independent(self):
         sample = SampleDatabase()
         sample.assume(parse_fact("p(a)"), 0)
-        snap = sample.snapshot()
+        snap = sample.model_snapshot()
         sample.undo_to(0)
         assert snap.contains(parse_fact("p(a)"))

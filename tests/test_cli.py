@@ -162,12 +162,18 @@ class TestKnobValidation:
         assert "magic" in err and "lazy" in err
 
     def test_strategy_knob_on_check(self, db_file):
-        for strategy in ("lazy", "topdown", "model", "magic"):
+        for strategy in ("lazy", "magic"):
             code = main(
                 ["check", db_file, "--update", "employee(bob)",
                  "--strategy", strategy]
             )
             assert code == 0, strategy
+        # The removed strategies are argparse errors, not silent aliases.
+        for strategy in ("topdown", "model"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["check", db_file, "--update", "employee(bob)",
+                      "--strategy", strategy])
+            assert excinfo.value.code == 2, strategy
 
     def test_strategy_knob_on_query(self, db_file, capsys):
         code = main(

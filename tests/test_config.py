@@ -13,6 +13,7 @@ from repro.config import (
     DEFAULT_BACKEND,
     DEFAULT_EXEC,
     DEFAULT_PLAN,
+    DEFAULT_STRATEGY,
     EngineConfig,
 )
 
@@ -20,7 +21,7 @@ from repro.config import (
 class TestValidation:
     def test_defaults_are_valid(self):
         config = EngineConfig()
-        assert config.strategy == "lazy"
+        assert config.strategy == DEFAULT_STRATEGY == "lazy"
         assert config.plan == DEFAULT_PLAN
         assert config.exec_mode == DEFAULT_EXEC
         assert config.supplementary is True
@@ -43,6 +44,9 @@ class TestValidation:
             ({"slow_query_ms": float("inf")}, "slow_query_ms"),
             ({"join_algo": "leapfrog"}, "unknown join algo"),
             ({"cache": "yes"}, "cache"),
+            # Removed strategies: rejected, naming what remains.
+            ({"strategy": "topdown"}, r"pick one of \('lazy', 'magic'\)"),
+            ({"strategy": "model"}, r"pick one of \('lazy', 'magic'\)"),
         ],
     )
     def test_every_knob_validated_in_one_place(self, kwargs, message):
@@ -113,7 +117,6 @@ def seams():
     from repro.datalog.bottomup import compute_model
     from repro.datalog.magic import MagicEvaluator
     from repro.datalog.query import QueryEngine
-    from repro.datalog.topdown import TabledEvaluator
     from repro.integrity.delta_eval import DeltaEvaluator
     from repro.service.server import DatabaseServer
     from repro.service.transactions import TransactionManager
@@ -130,7 +133,6 @@ def seams():
         repro.MaintainedModel.from_snapshot,
         QueryEngine.__init__,
         MagicEvaluator.__init__,
-        TabledEvaluator.__init__,
         repro.IntegrityChecker.__init__,
         DeltaEvaluator.__init__,
         TransactionManager.__init__,
@@ -165,10 +167,10 @@ class TestOneWayToConfigure:
         assert parameters["config"].default is None
         assert not KNOBS & set(parameters)
 
-    def test_violated_constraints_defaults_to_the_model_strategy(self):
+    def test_violated_constraints_uses_the_default_config(self):
         db = repro.DeductiveDatabase.from_source("p(a).")
         db.violated_constraints()
-        assert [config.strategy for config in db._engines] == ["model"]
+        assert list(db._engines) == [EngineConfig()]
 
     def test_config_module_is_a_leaf(self):
         tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
@@ -201,9 +203,9 @@ class TestSeamAcceptance:
         from repro.datalog.query import QueryEngine
 
         engine = QueryEngine(
-            FactStore(), Program(), config=EngineConfig(strategy="model")
+            FactStore(), Program(), config=EngineConfig(strategy="magic")
         )
-        assert engine.config.strategy == "model"
+        assert engine.config.strategy == "magic"
 
     def test_database_engine_memoizes_per_config(self):
         from repro.datalog.database import DeductiveDatabase
