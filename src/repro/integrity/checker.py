@@ -19,6 +19,9 @@ constraints, does U(D)?* They differ in how much work they do:
     The paper's two-phase method (Proposition 3): compile potential
     updates and update constraints without fact access, then evaluate
     ``¬delta(U, Lτ) ∨ new(U, s(C))`` with the goal-directed delta.
+    :meth:`IntegrityChecker.check_applied` is the same method for an
+    update already applied to a maintained model: ``delta`` is read
+    off DRed's change set, ``new`` off the candidate model.
 
 ``check_interleaved``
     [DECK 86] / [KOWA 87] style (Proposition 2 applied naively): compute
@@ -41,14 +44,14 @@ cost model the paper argues about, not just wall time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.program import Program
 from repro.datalog.query import QueryEngine
 from repro.integrity.delta_eval import DeltaEvaluator
-from repro.integrity.dependencies import DependencyIndex
+from repro.integrity.dependencies import DependencyIndex, Signature
 from repro.integrity.instances import simplified_instances
 from repro.integrity.relevance import RelevanceIndex
 from repro.integrity.transactions import Transaction
@@ -56,7 +59,9 @@ from repro.integrity.update_constraints import (
     CompiledCheck,
     compile_update_constraints,
 )
-from repro.logic.formulas import Formula, Literal
+from repro.logic.formulas import Atom, Formula, Literal
+from repro.logic.substitution import Substitution
+from repro.logic.unify import match
 from repro.obs.trace import current_trace
 UpdateInput = Union[str, Literal, Transaction, Sequence[Union[str, Literal]]]
 
@@ -150,6 +155,8 @@ class IntegrityChecker:
     manager passes its committed-state engine over its DRed-maintained
     model, which holds every derived fact already; without one, the
     database's own engine for *config* re-derives what the reads need.
+    :meth:`check_applied` reads the same committed state after the
+    update has been applied to it, when it holds U(D).
     """
 
     def __init__(
@@ -243,7 +250,7 @@ class IntegrityChecker:
     def _evaluate_update_constraints(
         self,
         compiled: CompiledCheck,
-        delta: DeltaEvaluator,
+        delta: Union[DeltaEvaluator, "_AppliedChanges"],
         stats: Dict[str, int],
         method: str,
         fresh_engine=None,
@@ -277,6 +284,54 @@ class IntegrityChecker:
         stats["instances_evaluated"] = len(checked)
         stats["lookups"] += delta.lookup_count
         return CheckResult(violations, stats, method)
+
+    def check_applied(
+        self,
+        updates: UpdateInput,
+        inserted: Set[Atom],
+        deleted: Set[Atom],
+    ) -> CheckResult:
+        """Proposition 3 for an update that has *already been applied*.
+
+        A transaction manager runs DRed for the candidate transaction
+        first; ``(inserted, deleted)`` is DRed's change set, which,
+        netted (:class:`_AppliedChanges`), is exactly Definition 4's
+        induced updates (the literals whose truth differs between D and
+        U(D)), so no ``delta`` propagation is needed. The committed
+        state — the maintained model — now holds U(D), and the residual
+        instances are evaluated against it.
+
+        Compilation and the stats agree with :meth:`check_bdm`: the
+        induced updates counted are those whose signature lies in the
+        backward closure of the demanded trigger patterns, plus the
+        explicit updates. ``lookups`` counts the residual-instance
+        evaluation only; the induced updates cost none.
+        """
+        updates = _normalize_updates(updates)
+        trace = current_trace()
+        if trace is None:
+            compiled = self.compile(updates)
+        else:
+            with trace.phase("gate.compile"):
+                compiled = self.compile(updates)
+        stats: Dict[str, int] = {
+            "potential_updates": len(compiled.potential),
+            "update_constraints": len(compiled.update_constraints),
+            "induced_updates": 0,
+            "instances_evaluated": 0,
+            "lookups": 0,
+        }
+        if not compiled.update_constraints:
+            return CheckResult([], stats, "bdm")
+        closure = self.dependency_index.backward_closure(
+            compiled.demanded_signatures()
+        )
+        changes = _AppliedChanges(
+            updates, inserted, deleted, closure, self._old_state()
+        )
+        return self._evaluate_update_constraints(
+            compiled, changes, stats, "bdm"
+        )
 
     def compile(self, updates: UpdateInput) -> CompiledCheck:
         """The fact-independent compile phase, exposed for precompilation
@@ -572,7 +627,6 @@ class IntegrityChecker:
         truth actually changes (false today for additions; true today
         for removals)."""
         from repro.datalog.joins import join_body
-        from repro.logic.substitution import Substitution
 
         old_engine = self._old_state()
 
@@ -604,3 +658,68 @@ class IntegrityChecker:
                 if old_engine.holds(head):
                     seeds.append(Literal(head, False))
         return seeds
+
+
+class _AppliedChanges:
+    """``delta`` for an update already applied to a maintained model:
+    the induced updates are read off DRed's ``(inserted, deleted)``
+    change set instead of being derived, and *engine* — the committed
+    state — already reads U(D). It offers the slice of
+    :class:`DeltaEvaluator` the shared evaluation loop uses.
+
+    The change set is netted to Definition 4's literals whose truth
+    differs between D and U(D). An atom in ``inserted`` that was true in
+    D is no induced update: DRed over-deleted it and derived it again
+    (it is in ``deleted`` too), or it is an explicit deletion that
+    insertion propagation derived again. Only signatures in *closure*
+    are kept, bucketed by ``(pred, sign)`` so each trigger is matched
+    against its own bucket; the effective explicit updates outside the
+    closure match no trigger but count as induced updates, as in
+    :meth:`IntegrityChecker.check_bdm`.
+    """
+
+    def __init__(
+        self,
+        updates: List[Literal],
+        inserted: Set[Atom],
+        deleted: Set[Atom],
+        closure: Set[Signature],
+        engine: QueryEngine,
+    ):
+        explicit_deletions = {u.atom for u in updates if not u.positive}
+        unchanged = inserted & (deleted | explicit_deletions)
+        self._buckets: Dict[Signature, List[Atom]] = {}
+        for atoms, positive in ((inserted, True), (deleted, False)):
+            for atom in atoms:
+                key = (atom.pred, positive)
+                if key in closure and atom not in unchanged:
+                    self._buckets.setdefault(key, []).append(atom)
+        self._outside = [
+            update
+            for update in updates
+            if (update.atom.pred, update.positive) not in closure
+            and update.atom in (inserted if update.positive else deleted)
+            and update.atom not in unchanged
+        ]
+        self.new_engine = engine
+        self._lookups_before = engine.lookup_count
+
+    def induced_updates(self) -> List[Literal]:
+        induced = list(self._outside)
+        for (_, positive), atoms in self._buckets.items():
+            induced.extend(Literal(atom, positive) for atom in atoms)
+        return induced
+
+    def answers(self, pattern: Literal) -> Iterator[Substitution]:
+        for atom in self._buckets.get(
+            (pattern.atom.pred, pattern.positive), ()
+        ):
+            binding = match(pattern.atom, atom)
+            if binding is not None:
+                yield binding
+
+    @property
+    def lookup_count(self) -> int:
+        """Lookups of the residual-instance evaluation; the induced
+        updates cost none."""
+        return self.new_engine.lookup_count - self._lookups_before

@@ -239,9 +239,15 @@ class DatabaseServer:
         payload: Dict = {"address": list(self.address), "databases": {}}
         for name, database in databases.items():
             manager = database.manager
+            # Under the state lock: a commit applies before its gate
+            # and log write, so an unlocked read could count a
+            # transaction that is then undone.
+            with manager._state_lock:
+                lsn = manager.version
+                facts = len(manager.database.facts)
             payload["databases"][name] = {
-                "lsn": manager.version,
-                "facts": len(manager.database.facts),
+                "lsn": lsn,
+                "facts": facts,
                 "open_sessions": sum(
                     1
                     for session in sessions

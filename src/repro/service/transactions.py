@@ -12,12 +12,24 @@ Concurrency model — optimistic, first-committer-wins:
   the rule dependency closure, so reads of derived predicates count
   their extensional support) was written under it. Non-overlapping
   writers never conflict and commit concurrently.
-* The winning transactions then face the paper's integrity gate
-  (:meth:`IntegrityChecker.admit` — update-constraint screening,
-  relevance-restricted simplified instances, goal-directed delta
-  evaluation, honoring the session ``strategy``/``plan`` knobs).
-  Violators are rejected with witness diagnostics and are never
-  logged.
+* The winning transactions then face the paper's integrity gate.
+  A commit runs apply → gate → log: DRed maintains the model for the
+  candidate transaction first (:func:`apply_transaction`), and its
+  ``(inserted, deleted)`` change set *is* the paper's induced updates
+  (Definition 4: literals whose truth differs between D and U(D)).
+  :meth:`IntegrityChecker.check_applied` matches each update
+  constraint's trigger against that change set and evaluates the
+  simplified instances against the candidate model. A violator is
+  undone from its change set in O(|change|) — the inserted atoms
+  leave the model, the deleted ones return, the updates are inverted
+  on both extensional stores — and is never logged. An admitted
+  transaction is then logged; if the log write fails, the apply is
+  undone the same way before the error propagates, so memory never
+  runs ahead of the log. Everything happens under the state lock, so
+  no reader sees a speculative state. Dry runs
+  (:meth:`TransactionManager.dry_run`) and the non-``bdm`` methods
+  keep simulating U(D) (:meth:`IntegrityChecker.admit`), the latter
+  in the order gate → log → apply.
 
 Committed-state reads come from the maintained model. The manager
 keeps one :class:`~repro.datalog.query.QueryEngine` over the
@@ -26,19 +38,21 @@ complete, so nothing is derived at read time — and the engine survives
 commits because DRed updates that store in place. Unstaged
 ``holds``/``evaluate`` calls and the gate's reads of the old state D
 (``delta``'s old side, rule-DDL seeds, constraint-DDL triage) all go
-through it, so a read is a store probe.
-Only the new state U(D) and staged session reads still go through
-overlay engines that derive on demand.
+through it, so a read is a store probe. On the commit path the same
+engine reads the candidate state U(D) once the transaction is applied.
+Only dry runs' U(D) and staged session reads still go through overlay
+engines that derive on demand.
 
 Group commit: concurrent commit calls elect a leader that drains the
-queue and, for mutually non-conflicting transactions, runs **one**
-merged gate check, appends **one** atomic WAL batch record with one
-fsync, and maintains the DRed model **once** — the amortization the
-E12 benchmark measures. The batch record is all-or-nothing under
-crash, so a torn group commit can never resurrect half a batch whose
-gate verdict only covered the whole. If the merged gate fails, the
-batch falls back to individual checks so exactly the violating
-transactions are rejected.
+queue and, for mutually non-conflicting transactions, maintains the
+DRed model **once**, runs **one** merged gate check over that change
+set and appends **one** atomic WAL batch record with one fsync — the
+amortization the E12 benchmark measures. The batch record is
+all-or-nothing under crash, so a torn group commit can never
+resurrect half a batch whose gate verdict only covered the whole. If
+the merged gate fails, the merged apply is undone and the batch falls
+back to individual commits so exactly the violating transactions are
+rejected.
 
 **The gate is batch-scoped.** The admitted unit is the merged
 transaction of a batch: batch members commute (disjoint write keys,
@@ -78,7 +92,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Set, Union
+from typing import Deque, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
@@ -123,6 +137,9 @@ CONFLICT_WINDOW = 1024
 #: The committed-state engine's rule set: it reads the complete
 #: canonical model, so there is nothing left to derive.
 _NO_RULES = Program()
+
+#: DRed's ``(inserted, deleted)`` model change set for one transaction.
+_Changes = Tuple[Set[Atom], Set[Atom]]
 
 COMMITTED = "committed"
 REJECTED = "rejected"
@@ -493,25 +510,109 @@ class TransactionManager:
             return self._admit(transaction, method)
 
     def _admit(
-        self, transaction: Transaction, method: Optional[str] = None
+        self,
+        transaction: Transaction,
+        method: Optional[str] = None,
+        changes: Optional[_Changes] = None,
     ) -> CheckResult:
         """One integrity-gate admission, timed into gate.check_seconds
-        (and the active trace's ``gate`` phase, when there is one)."""
+        (and the active trace's ``gate`` phase, when there is one).
+        With *changes* — DRed's change set for *transaction*, already
+        applied — the constraints are checked against the candidate
+        model; without, *transaction* is simulated (a dry run)."""
+        method = method or self.method
+
+        def check() -> CheckResult:
+            if changes is not None:
+                return self.checker.check_applied(transaction, *changes)
+            return self.checker.admit(transaction, method)
+
         trace = current_trace()
         start = time.perf_counter()
         try:
             if trace is None:
-                return self.checker.admit(
-                    transaction, method or self.method
-                )
-            with trace.phase("gate"), trace.span(
-                "gate.check", method=method or self.method
-            ):
-                return self.checker.admit(
-                    transaction, method or self.method
-                )
+                return check()
+            with trace.phase("gate"), trace.span("gate.check", method=method):
+                return check()
         finally:
             _GATE_SECONDS.observe(time.perf_counter() - start)
+
+    def _gate(
+        self, transaction: Transaction
+    ) -> Tuple[CheckResult, Optional[_Changes]]:
+        """Admit *transaction* on the commit path.
+
+        Under ``bdm`` the transaction is applied first (DRed runs once,
+        in a ``maintain`` span) and its change set is checked against
+        the candidate model; a rejection is undone before returning.
+        The returned change set marks the transaction as applied but
+        not yet logged. Other methods only check; they return ``None``
+        and :meth:`_log_and_apply` applies after logging."""
+        if self.method != "bdm":
+            return self._admit(transaction), None
+        trace = current_trace()
+        if trace is None:
+            changes = apply_transaction(transaction, self.database, self.model)
+        else:
+            with trace.phase("maintain"), trace.span(
+                "maintain", updates=len(transaction)
+            ):
+                changes = apply_transaction(
+                    transaction, self.database, self.model
+                )
+        try:
+            verdict = self._admit(transaction, changes=changes)
+        except BaseException:
+            self._undo(transaction, changes)
+            raise
+        if not verdict.ok:
+            self._undo(transaction, changes)
+        return verdict, changes
+
+    def _log_and_apply(
+        self,
+        record: WalRecord,
+        transaction: Transaction,
+        changes: Optional[_Changes],
+    ) -> None:
+        """Make an admitted transaction durable. If it was applied
+        speculatively (*changes* given) and the log write fails, the
+        apply is undone before re-raising, so memory never runs ahead
+        of the log; otherwise it is applied once logged."""
+        if self.storage is not None:
+            try:
+                self.storage.log(record)
+            except BaseException:
+                if changes is not None:
+                    self._undo(transaction, changes)
+                raise
+        if changes is None:
+            apply_transaction(transaction, self.database, self.model)
+
+    def _undo(self, transaction: Transaction, changes: _Changes) -> None:
+        """Restore the pre-commit state from the change set, in
+        O(|change|): invert the model change on the model and the
+        (effective) updates on both extensional stores. Removing the
+        inserted atoms before re-adding the deleted ones restores an
+        atom DRed over-deleted and re-derived, which sits in both sets.
+        An explicitly deleted fact that insertion propagation derived
+        again sits in the inserted set only; it was true before the
+        commit (it was stored), so it is re-added last."""
+        inserted, deleted = changes
+        model = self.model.model
+        for atom in inserted:
+            model.remove(atom)
+        for atom in deleted:
+            model.add(atom)
+        edb = self.model.edb
+        for literal in transaction.net():
+            inverse = Literal(literal.atom, not literal.positive)
+            self.database.apply_update(inverse)
+            if literal.positive:
+                edb.remove(literal.atom)
+            else:
+                edb.add(literal.atom)
+                model.add(literal.atom)
 
     # -- commits ------------------------------------------------------------------
 
@@ -745,7 +846,7 @@ class TransactionManager:
     def _commit_group(self, group: List[_CommitRequest]) -> None:
         merged = Transaction.merge([r.effective for r in group])
         self._bump("txn.merged_gate_checks")
-        verdict = self._admit(merged)
+        verdict, changes = self._gate(merged)
         if not verdict.ok:
             # Someone in the batch violates; find exactly who. Checked
             # sequentially — each passing member applies before the
@@ -765,9 +866,7 @@ class TransactionManager:
             )
         last_lsn = first_lsn + len(group) - 1
         record = WalRecord(last_lsn, "batch", {"txns": entries})
-        if self.storage is not None:
-            self.storage.log(record)
-        apply_transaction(merged, self.database, self.model)
+        self._log_and_apply(record, merged, changes)
         for offset, request in enumerate(group):
             lsn = first_lsn + offset
             self._log_commit(lsn, request.effective)
@@ -778,7 +877,7 @@ class TransactionManager:
 
     def _commit_individual(self, request: _CommitRequest) -> None:
         transaction = request.effective
-        verdict = self._admit(transaction)
+        verdict, changes = self._gate(transaction)
         if not verdict.ok:
             self._bump("txn.rejected")
             request.finish(
@@ -794,9 +893,7 @@ class TransactionManager:
             return
         lsn = self.version + 1
         record = WalRecord(lsn, "txn", {"updates": transaction.to_strings()})
-        if self.storage is not None:
-            self.storage.log(record)
-        apply_transaction(transaction, self.database, self.model)
+        self._log_and_apply(record, transaction, changes)
         self._log_commit(lsn, transaction)
         self.version = lsn
         self._bump("txn.commits")

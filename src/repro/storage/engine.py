@@ -51,12 +51,17 @@ def apply_transaction(
     database: DeductiveDatabase,
     model: MaintainedModel,
 ) -> Tuple[Set[Atom], Set[Atom]]:
-    """Apply one committed transaction to the extensional store
-    (Definition 1) and the DRed-maintained model. The ONE apply step:
-    live commits and WAL replay both call this, which is what makes
-    the recovered state equal the acknowledged state by construction.
+    """Apply one transaction to the extensional store (Definition 1)
+    and the DRed-maintained model. The ONE apply step: live commits and
+    WAL replay both call this, which is what makes the recovered state
+    equal the acknowledged state by construction.
 
-    Returns DRed's exact ``(inserted, deleted)`` model change sets.
+    Returns DRed's exact ``(inserted, deleted)`` model change sets. A
+    live ``bdm`` commit applies *before* its gate check and log write:
+    the change sets are the induced updates the gate checks, and the
+    record the service needs to undo the apply when the gate rejects
+    or the log write fails. An atom DRed over-deleted and re-derived
+    appears in both sets.
     """
     for literal in transaction.net():
         database.apply_update(literal)

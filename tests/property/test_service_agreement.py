@@ -9,22 +9,27 @@ agree with a fresh :class:`DeductiveDatabase` over the same facts:
   equals recomputation, read through the service);
 * ``query`` on every constraint;
 * the commit's status, with ``check_full`` on the fresh database as
-  the oracle (committed iff the full re-check passes).
+  the oracle (committed iff the full re-check passes);
+* the commit's gate verdict, with a dry run of the same transaction
+  on the same pre-state as the oracle: ``ok``, the violation set,
+  ``instances_evaluated`` and ``induced_updates`` must all match.
 
 ``REPRO_STRESS=1`` raises the example count.
 """
 
 import itertools
 import os
+import re
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 import repro
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
 from repro.integrity.checker import IntegrityChecker
+from repro.integrity.transactions import Transaction
 from repro.logic.formulas import Atom, Literal
 from repro.logic.parser import parse_rule
 
@@ -39,6 +44,9 @@ RULE_POOL = [
     "node(X) :- r(X, Y)",
     "node(Y) :- r(X, Y)",
     "lone(X) :- p(X), not marked(X)",
+    # q is stored and derived: deleting a stored q(X) while inserting
+    # r(X, X) makes DRed derive it again during insertion propagation.
+    "q(X) :- tc(X, X)",
 ]
 
 EDB = [("p", 1), ("q", 1), ("r", 2), ("marked", 1)]
@@ -105,7 +113,55 @@ def assert_agrees(managed, oracle):
         ), constraint
 
 
+def violation_key(violation):
+    """A violation up to the renaming of its instance's variables: each
+    compile renames quantified variables apart with fresh ``Name#n``
+    variables, so two compiles of one constraint differ in the ``n``."""
+    names = {}
+    instance = re.sub(
+        r"\w+#\d+",
+        lambda m: names.setdefault(m.group(), f"V{len(names)}"),
+        str(violation.instance),
+    )
+    return violation.constraint_id, str(violation.trigger), instance
+
+
+def assert_same_verdict(commit, dry):
+    """The commit gate reads its induced updates off DRed's change set;
+    the dry run's ``DeltaEvaluator`` derives them independently, so it
+    is the gate's oracle."""
+    assert commit.ok is dry.ok
+    assert set(map(violation_key, commit.violations)) == set(
+        map(violation_key, dry.violations)
+    )
+    for key in ("instances_evaluated", "induced_updates"):
+        assert commit.stats[key] == dry.stats[key], key
+
+
+# Pinned: the stored q(a) is deleted while r(a, a) is inserted, so DRed
+# derives q(a) again during insertion propagation and reports it as
+# inserted only. The first commit is rejected (marked(a) is absent) and
+# must leave q(a) in the model; the second is admitted, and q(a), true
+# before and after, must not count as an induced update.
+STORED_AND_DERIVED = DeductiveDatabase.from_source(
+    """
+    p(a). q(a).
+    tc(X, Y) :- r(X, Y).
+    q(X) :- tc(X, X).
+    forall X: r(X, X) -> marked(X).
+    forall X: q(X) -> p(X).
+    """
+)
+_A = CONSTANTS[0]
+_CHURN = [
+    Literal(Atom("q", (_A,)), False),
+    Literal(Atom("r", (_A, _A)), True),
+]
+_MARKED = Literal(Atom("marked", (_A,)), True)
+
+
 @given(histories())
+@example((STORED_AND_DERIVED, [_CHURN, _CHURN + [_MARKED]]))
 @settings(
     max_examples=EXAMPLES,
     deadline=None,
@@ -118,8 +174,18 @@ def test_service_agrees_with_recomputation(case):
     assert_agrees(managed, fresh(facts, db))
     for transaction in transactions:
         expected = IntegrityChecker(fresh(facts, db)).check_full(transaction)
+        # The gate admits the transaction without its Definition-1
+        # no-ops, so the oracle dry-runs exactly that.
+        effective = [
+            literal
+            for literal in Transaction(transaction).net()
+            if (literal.atom in facts) != literal.positive
+        ]
+        dry = managed.check(effective) if effective else None
         result = managed.submit(transaction)
         assert result.status == ("committed" if expected.ok else "rejected")
+        if dry is not None:
+            assert_same_verdict(result.check, dry)
         if result.ok:
             for literal in transaction:
                 if literal.positive:
