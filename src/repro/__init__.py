@@ -84,8 +84,8 @@ def open(
     *source* on first open); without one, the database lives in memory
     with identical semantics. *config* is an :class:`EngineConfig`
     bundling every engine knob (strategy, plan, exec mode, storage
-    backend); remaining *options* (``sync``, ``method``,
-    ``group_commit``, ``snapshot_interval``, ...) pass through to
+    backend); remaining *options* (``sync``, ``group_commit``,
+    ``snapshot_interval``, ``commit_delay``) pass through to
     :class:`Database`.
     """
     return ManagedDatabase(directory, source, config=config, **options)

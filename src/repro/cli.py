@@ -380,12 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable group commit (the E12 baseline)",
     )
     serve.add_argument(
-        "--method",
-        choices=METHODS,
-        default="bdm",
-        help="integrity gate method (default: %(default)s)",
-    )
-    serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -697,7 +691,6 @@ def _run_serve(args) -> int:
         host=args.host,
         port=args.port,
         sync=not args.no_sync,
-        method=args.method,
         config=_config_from_args(args),
         group_commit=not args.serialize_commits,
         snapshot_interval=args.snapshot_interval,

@@ -44,7 +44,7 @@ cost model the paper argues about, not just wall time.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
@@ -139,8 +139,9 @@ class IntegrityChecker:
 
     The checker assumes (as all the propositions do) that the database
     currently satisfies its constraints; each ``check_*`` method decides
-    whether the *updated* database still would, without applying the
-    update.
+    whether the *updated* database still would. All but
+    :meth:`check_applied` simulate U(D) without applying the update;
+    that one checks an update already applied to a maintained model.
 
     *config* selects the query engines used throughout — both the
     ``delta``/``new`` propagation state and the evaluation of residual
@@ -188,11 +189,11 @@ class IntegrityChecker:
     def admit(
         self, transaction: Transaction, method: str = "bdm"
     ) -> CheckResult:
-        """Transaction-scoped commit gate: would applying *transaction*
-        keep the constraints satisfied? This is the entry point the
-        service's transaction manager calls before logging a commit;
-        *method* selects any of the ``check_*`` implementations (the
-        default is the paper's)."""
+        """Would applying *transaction* keep the constraints satisfied?
+        The dispatcher for dry runs — the service's ``check`` and the
+        CLI's — which simulate U(D): *method* selects any of the
+        ``check_*`` implementations (the default is the paper's). A
+        service commit goes through :meth:`check_applied` instead."""
         if method not in METHODS:
             raise ValueError(
                 f"unknown check method {method!r}; pick one of {METHODS}"
@@ -210,12 +211,58 @@ class IntegrityChecker:
         the E4 benchmark as the degraded comparator).
         """
         updates = _normalize_updates(updates)
+
+        def delta(closure: Set[Signature]) -> DeltaEvaluator:
+            return DeltaEvaluator(
+                self.database,
+                updates,
+                index=self.dependency_index,
+                restrict_to=closure,
+                config=self.config,
+                old_engine=self._old_state(),
+            )
+
+        fresh_engine = (
+            None
+            if share_evaluation
+            else lambda: self.database.updated(updates).engine(
+                config=self.config
+            )
+        )
+        return self._check_update_constraints(
+            self._compile_traced(updates),
+            self.dependency_index,
+            delta,
+            "bdm",
+            fresh_engine,
+        )
+
+    def _compile_traced(self, updates: List[Literal]) -> CompiledCheck:
+        """:meth:`compile`, in the active trace's ``gate.compile`` phase
+        when there is one."""
         trace = current_trace()
         if trace is None:
-            compiled = self.compile(updates)
-        else:
-            with trace.phase("gate.compile"):
-                compiled = self.compile(updates)
+            return self.compile(updates)
+        with trace.phase("gate.compile"):
+            return self.compile(updates)
+
+    def _check_update_constraints(
+        self,
+        compiled: CompiledCheck,
+        index: DependencyIndex,
+        make_delta: Callable[
+            [Set[Signature]], Union[DeltaEvaluator, "_AppliedChanges"]
+        ],
+        method: str,
+        fresh_engine=None,
+    ) -> CheckResult:
+        """The evaluation phase shared by fact- and rule-update checks:
+        confront the compiled update constraints with the delta answers.
+        When no update constraint is relevant, no fact is accessed and
+        *make_delta* is never called; otherwise it builds ``delta`` for
+        the backward closure (in *index*) of the demanded trigger
+        patterns. ``fresh_engine``, when given, builds a new engine per
+        residual instance (the no-sharing mode of the E4 benchmark)."""
         stats: Dict[str, int] = {
             "potential_updates": len(compiled.potential),
             "update_constraints": len(compiled.update_constraints),
@@ -224,41 +271,10 @@ class IntegrityChecker:
             "lookups": 0,
         }
         if not compiled.update_constraints:
-            # No constraint can be affected: zero fact access.
-            return CheckResult([], stats, "bdm")
-        demanded = compiled.demanded_signatures()
-        closure = self.dependency_index.backward_closure(demanded)
-        delta = DeltaEvaluator(
-            self.database,
-            updates,
-            index=self.dependency_index,
-            restrict_to=closure,
-            config=self.config,
-            old_engine=self._old_state(),
+            return CheckResult([], stats, method)
+        delta = make_delta(
+            index.backward_closure(compiled.demanded_signatures())
         )
-        fresh_engine = (
-            None
-            if share_evaluation
-            else lambda: self.database.updated(updates).engine(
-                config=self.config
-            )
-        )
-        return self._evaluate_update_constraints(
-            compiled, delta, stats, "bdm", fresh_engine
-        )
-
-    def _evaluate_update_constraints(
-        self,
-        compiled: CompiledCheck,
-        delta: Union[DeltaEvaluator, "_AppliedChanges"],
-        stats: Dict[str, int],
-        method: str,
-        fresh_engine=None,
-    ) -> CheckResult:
-        """The evaluation phase shared by fact- and rule-update checks:
-        confront the compiled update constraints with the delta answers.
-        ``fresh_engine``, when given, builds a new engine per residual
-        instance (the no-sharing mode of the E4 benchmark)."""
         shared_engine = delta.new_engine
         violations: List[Violation] = []
         checked: Set[Formula] = set()
@@ -308,29 +324,13 @@ class IntegrityChecker:
         evaluation only; the induced updates cost none.
         """
         updates = _normalize_updates(updates)
-        trace = current_trace()
-        if trace is None:
-            compiled = self.compile(updates)
-        else:
-            with trace.phase("gate.compile"):
-                compiled = self.compile(updates)
-        stats: Dict[str, int] = {
-            "potential_updates": len(compiled.potential),
-            "update_constraints": len(compiled.update_constraints),
-            "induced_updates": 0,
-            "instances_evaluated": 0,
-            "lookups": 0,
-        }
-        if not compiled.update_constraints:
-            return CheckResult([], stats, "bdm")
-        closure = self.dependency_index.backward_closure(
-            compiled.demanded_signatures()
-        )
-        changes = _AppliedChanges(
-            updates, inserted, deleted, closure, self._old_state()
-        )
-        return self._evaluate_update_constraints(
-            compiled, changes, stats, "bdm"
+        return self._check_update_constraints(
+            self._compile_traced(updates),
+            self.dependency_index,
+            lambda closure: _AppliedChanges(
+                updates, inserted, deleted, closure, self._old_state()
+            ),
+            "bdm",
         )
 
     def compile(self, updates: UpdateInput) -> CompiledCheck:
@@ -516,33 +516,17 @@ class IntegrityChecker:
             relevance=self.relevance,
             index=index,
         )
-        stats: Dict[str, int] = {
-            "potential_updates": len(compiled.potential),
-            "update_constraints": len(compiled.update_constraints),
-            "induced_updates": 0,
-            "instances_evaluated": 0,
-            "lookups": 0,
-        }
-        if not compiled.update_constraints:
-            return CheckResult([], stats, "rule-addition")
-        seeds = self._rule_seeds(
-            rule,
-            body_state=new_db.engine(config=self.config),
-            inserted=True,
-        )
-        closure = index.backward_closure(compiled.demanded_signatures())
-        delta = DeltaEvaluator(
-            self.database,
-            [],
-            index=index,
-            restrict_to=closure,
-            config=self.config,
-            new_database=new_db,
-            seeds=seeds,
-            old_engine=self._old_state(),
-        )
-        return self._evaluate_update_constraints(
-            compiled, delta, stats, "rule-addition"
+
+        def delta(closure: Set[Signature]) -> DeltaEvaluator:
+            seeds = self._rule_seeds(
+                rule,
+                body_state=new_db.engine(config=self.config),
+                inserted=True,
+            )
+            return self._rule_delta(new_db, index, closure, seeds)
+
+        return self._check_update_constraints(
+            compiled, index, delta, "rule-addition"
         )
 
     def check_rule_removal(self, rule) -> CheckResult:
@@ -571,27 +555,34 @@ class IntegrityChecker:
             relevance=self.relevance,
             index=index,
         )
-        stats: Dict[str, int] = {
-            "potential_updates": len(compiled.potential),
-            "update_constraints": len(compiled.update_constraints),
-            "induced_updates": 0,
-            "instances_evaluated": 0,
-            "lookups": 0,
-        }
-        if not compiled.update_constraints:
-            return CheckResult([], stats, "rule-removal")
-        new_engine = new_db.engine(config=self.config)
-        candidates = self._rule_seeds(
-            rule, body_state=self._old_state(), inserted=False
+
+        def delta(closure: Set[Signature]) -> DeltaEvaluator:
+            new_engine = new_db.engine(config=self.config)
+            candidates = self._rule_seeds(
+                rule, body_state=self._old_state(), inserted=False
+            )
+            # Only heads no longer derivable anywhere actually change.
+            seeds = [
+                literal
+                for literal in candidates
+                if not new_engine.holds(literal.atom)
+            ]
+            return self._rule_delta(new_db, index, closure, seeds)
+
+        return self._check_update_constraints(
+            compiled, index, delta, "rule-removal"
         )
-        # Only heads no longer derivable anywhere actually change.
-        seeds = [
-            literal
-            for literal in candidates
-            if not new_engine.holds(literal.atom)
-        ]
-        closure = index.backward_closure(compiled.demanded_signatures())
-        delta = DeltaEvaluator(
+
+    def _rule_delta(
+        self,
+        new_db: DeductiveDatabase,
+        index: DependencyIndex,
+        closure: Set[Signature],
+        seeds: List[Literal],
+    ) -> DeltaEvaluator:
+        """``delta`` for a rule update: no fact changes, *seeds* are the
+        rule's own induced updates, *new_db* is U(D)."""
+        return DeltaEvaluator(
             self.database,
             [],
             index=index,
@@ -600,9 +591,6 @@ class IntegrityChecker:
             new_database=new_db,
             seeds=seeds,
             old_engine=self._old_state(),
-        )
-        return self._evaluate_update_constraints(
-            compiled, delta, stats, "rule-removal"
         )
 
     def _coerce_rule(self, rule):

@@ -37,7 +37,6 @@ class ManagedDatabase:
         source: Optional[str] = None,
         *,
         sync: bool = True,
-        method: str = "bdm",
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 0,
@@ -75,7 +74,6 @@ class ManagedDatabase:
             model,
             storage,
             version=version,
-            method=method,
             config=config,
             group_commit=group_commit,
             snapshot_interval=snapshot_interval,
@@ -132,7 +130,8 @@ class ManagedDatabase:
         return self.manager.holds(atom)
 
     def check(self, updates, method: Optional[str] = None) -> CheckResult:
-        """Dry-run the gate without committing."""
+        """Dry-run the gate without committing: U(D) is simulated and
+        checked with *method* (default: the paper's), nothing applied."""
         return self.manager.dry_run(Transaction.coerce(updates), method)
 
     def explain(self, formula: Union[str, Formula]) -> QueryTrace:

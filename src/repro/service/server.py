@@ -18,7 +18,7 @@ Ops::
     query       db|session formula                truth over state(+staged)
     holds       db|session atom                   ground-atom truth
     check       session [method]                  dry-run the gate
-    commit      session                           validate+gate+log+apply
+    commit      session                           validate+apply+gate+log
     abort       session
     add_constraint  db constraint [constraint_id budget max_levels]
     add_rule    db rule                           lint+gate+log+install a rule
@@ -136,7 +136,6 @@ class DatabaseServer:
         port: int = 0,
         *,
         sync: bool = True,
-        method: str = "bdm",
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 64,
@@ -147,7 +146,6 @@ class DatabaseServer:
         os.makedirs(self.root, exist_ok=True)
         self._db_options = {
             "sync": sync,
-            "method": method,
             "config": self.config,
             "group_commit": group_commit,
             "snapshot_interval": snapshot_interval,

@@ -13,8 +13,8 @@ Concurrency model — optimistic, first-committer-wins:
   their extensional support) was written under it. Non-overlapping
   writers never conflict and commit concurrently.
 * The winning transactions then face the paper's integrity gate.
-  A commit runs apply → gate → log: DRed maintains the model for the
-  candidate transaction first (:func:`apply_transaction`), and its
+  Every commit runs apply → gate → log: DRed maintains the model for
+  the candidate transaction first (:func:`apply_transaction`), and its
   ``(inserted, deleted)`` change set *is* the paper's induced updates
   (Definition 4: literals whose truth differs between D and U(D)).
   :meth:`IntegrityChecker.check_applied` matches each update
@@ -26,10 +26,10 @@ Concurrency model — optimistic, first-committer-wins:
   transaction is then logged; if the log write fails, the apply is
   undone the same way before the error propagates, so memory never
   runs ahead of the log. Everything happens under the state lock, so
-  no reader sees a speculative state. Dry runs
-  (:meth:`TransactionManager.dry_run`) and the non-``bdm`` methods
-  keep simulating U(D) (:meth:`IntegrityChecker.admit`), the latter
-  in the order gate → log → apply.
+  no reader sees a speculative state. Only dry runs
+  (:meth:`TransactionManager.dry_run`) simulate U(D), through
+  :meth:`IntegrityChecker.admit` and whichever checking method they
+  name; they apply nothing.
 
 Committed-state reads come from the maintained model. The manager
 keeps one :class:`~repro.datalog.query.QueryEngine` over the
@@ -92,14 +92,14 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Deque, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.incremental import MaintainedModel
 from repro.datalog.program import Program
 from repro.datalog.query import QueryEngine
-from repro.integrity.checker import METHODS, CheckResult, IntegrityChecker
+from repro.integrity.checker import CheckResult, IntegrityChecker
 from repro.integrity.evolution import (
     ACCEPTED,
     ConstraintAdditionResult,
@@ -118,7 +118,7 @@ from repro.storage.wal import WalRecord
 # Service-level latency distributions (seconds):
 #   txn.session_seconds — begin → successful commit, per session;
 #   gate.check_seconds  — one integrity-gate admission (merged,
-#                         individual or dry-run);
+#                         individual, dry-run or rule DDL);
 #   txn.linger_seconds  — how long a group-commit leader waited for
 #                         stragglers before processing its batch.
 _SESSION_SECONDS = default_registry().histogram("txn.session_seconds")
@@ -371,16 +371,11 @@ class TransactionManager:
         storage: Optional[StorageEngine] = None,
         *,
         version: int = 0,
-        method: str = "bdm",
         config: Optional[EngineConfig] = None,
         group_commit: bool = True,
         snapshot_interval: int = 0,
         commit_delay: float = 0.002,
     ):
-        if method not in METHODS:
-            raise ValueError(
-                f"unknown check method {method!r}; pick one of {METHODS}"
-            )
         config = config or EngineConfig()
         self.database = database
         self.model = (
@@ -392,7 +387,6 @@ class TransactionManager:
         )
         self.storage = storage
         self.version = version
-        self.method = method
         self.config = config
         self._attach_model()
         self.group_commit = group_commit
@@ -506,50 +500,36 @@ class TransactionManager:
     def dry_run(
         self, transaction: Transaction, method: Optional[str] = None
     ) -> CheckResult:
+        """Simulate U(D) and check it with *method* (default: the
+        paper's); nothing is applied."""
+        method = method or "bdm"
         with self._state_lock:
-            return self._admit(transaction, method)
+            return self._admit(
+                method, self.checker.admit, transaction, method
+            )
 
     def _admit(
-        self,
-        transaction: Transaction,
-        method: Optional[str] = None,
-        changes: Optional[_Changes] = None,
+        self, method: str, check: Callable[..., CheckResult], *args
     ) -> CheckResult:
-        """One integrity-gate admission, timed into gate.check_seconds
-        (and the active trace's ``gate`` phase, when there is one).
-        With *changes* — DRed's change set for *transaction*, already
-        applied — the constraints are checked against the candidate
-        model; without, *transaction* is simulated (a dry run)."""
-        method = method or self.method
-
-        def check() -> CheckResult:
-            if changes is not None:
-                return self.checker.check_applied(transaction, *changes)
-            return self.checker.admit(transaction, method)
-
+        """One integrity-gate admission — a commit's, a dry run's or
+        rule DDL's: ``check(*args)``, timed into gate.check_seconds and,
+        under a trace, run in the ``gate`` phase and a ``gate.check``
+        span tagged with *method*."""
         trace = current_trace()
         start = time.perf_counter()
         try:
             if trace is None:
-                return check()
+                return check(*args)
             with trace.phase("gate"), trace.span("gate.check", method=method):
-                return check()
+                return check(*args)
         finally:
             _GATE_SECONDS.observe(time.perf_counter() - start)
 
-    def _gate(
-        self, transaction: Transaction
-    ) -> Tuple[CheckResult, Optional[_Changes]]:
-        """Admit *transaction* on the commit path.
-
-        Under ``bdm`` the transaction is applied first (DRed runs once,
-        in a ``maintain`` span) and its change set is checked against
-        the candidate model; a rejection is undone before returning.
-        The returned change set marks the transaction as applied but
-        not yet logged. Other methods only check; they return ``None``
-        and :meth:`_log_and_apply` applies after logging."""
-        if self.method != "bdm":
-            return self._admit(transaction), None
+    def _gate(self, transaction: Transaction) -> Tuple[CheckResult, _Changes]:
+        """Admit *transaction* on the commit path: apply it (DRed runs
+        once, in a ``maintain`` span), then check its change set against
+        the candidate model. A rejection is undone before returning; an
+        admitted transaction comes back applied but not yet logged."""
         trace = current_trace()
         if trace is None:
             changes = apply_transaction(transaction, self.database, self.model)
@@ -561,7 +541,9 @@ class TransactionManager:
                     transaction, self.database, self.model
                 )
         try:
-            verdict = self._admit(transaction, changes=changes)
+            verdict = self._admit(
+                "bdm", self.checker.check_applied, transaction, *changes
+            )
         except BaseException:
             self._undo(transaction, changes)
             raise
@@ -569,25 +551,19 @@ class TransactionManager:
             self._undo(transaction, changes)
         return verdict, changes
 
-    def _log_and_apply(
-        self,
-        record: WalRecord,
-        transaction: Transaction,
-        changes: Optional[_Changes],
+    def _log(
+        self, record: WalRecord, transaction: Transaction, changes: _Changes
     ) -> None:
-        """Make an admitted transaction durable. If it was applied
-        speculatively (*changes* given) and the log write fails, the
-        apply is undone before re-raising, so memory never runs ahead
-        of the log; otherwise it is applied once logged."""
-        if self.storage is not None:
-            try:
-                self.storage.log(record)
-            except BaseException:
-                if changes is not None:
-                    self._undo(transaction, changes)
-                raise
-        if changes is None:
-            apply_transaction(transaction, self.database, self.model)
+        """Make an admitted, already applied transaction durable. If the
+        log write fails, the apply is undone before re-raising, so
+        memory never runs ahead of the log."""
+        if self.storage is None:
+            return
+        try:
+            self.storage.log(record)
+        except BaseException:
+            self._undo(transaction, changes)
+            raise
 
     def _undo(self, transaction: Transaction, changes: _Changes) -> None:
         """Restore the pre-commit state from the change set, in
@@ -866,7 +842,7 @@ class TransactionManager:
             )
         last_lsn = first_lsn + len(group) - 1
         record = WalRecord(last_lsn, "batch", {"txns": entries})
-        self._log_and_apply(record, merged, changes)
+        self._log(record, merged, changes)
         for offset, request in enumerate(group):
             lsn = first_lsn + offset
             self._log_commit(lsn, request.effective)
@@ -893,7 +869,7 @@ class TransactionManager:
             return
         lsn = self.version + 1
         record = WalRecord(lsn, "txn", {"updates": transaction.to_strings()})
-        self._log_and_apply(record, transaction, changes)
+        self._log(record, transaction, changes)
         self._log_commit(lsn, transaction)
         self.version = lsn
         self._bump("txn.commits")
@@ -920,7 +896,9 @@ class TransactionManager:
             )
             return
         rule = Rule(parsed.head, parsed.body)
-        verdict = self._admit_rule(rule)
+        verdict = self._admit(
+            "rule-addition", self.checker.check_rule_addition, rule
+        )
         if not verdict.ok:
             self._bump("txn.ddl_rejected")
             request.finish(
@@ -956,15 +934,6 @@ class TransactionManager:
             )
         )
         self._maybe_checkpoint(1)
-
-    def _admit_rule(self, rule) -> CheckResult:
-        """The Section 3.2 rule-addition admission, timed into
-        gate.check_seconds like every other gate check."""
-        start = time.perf_counter()
-        try:
-            return self.checker.check_rule_addition(rule)
-        finally:
-            _GATE_SECONDS.observe(time.perf_counter() - start)
 
     def _commit_constraint(self, request: _CommitRequest) -> None:
         from repro.analysis import analyze_constraint_candidate

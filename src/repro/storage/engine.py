@@ -57,7 +57,7 @@ def apply_transaction(
     equal the acknowledged state by construction.
 
     Returns DRed's exact ``(inserted, deleted)`` model change sets. A
-    live ``bdm`` commit applies *before* its gate check and log write:
+    live commit applies *before* its gate check and log write:
     the change sets are the induced updates the gate checks, and the
     record the service needs to undo the apply when the gate rejects
     or the log write fails. An atom DRed over-deleted and re-derived

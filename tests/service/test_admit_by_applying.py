@@ -206,9 +206,20 @@ class TestCommitTrace:
         assert "maintain" in trace.phases and "gate" in trace.phases
 
     def test_other_methods_check_before_applying(self):
-        db = ManagedDatabase(source=SOURCE, method="full")
+        """A dry run with a baseline method simulates U(D): it applies
+        nothing, so DRed never runs."""
+        db = ManagedDatabase(source=SOURCE)
         before = stores(db)
-        with trace_query("commit") as trace:
-            assert db.submit(CHURN).status == "rejected"
+        with trace_query("check") as trace:
+            assert not db.check(CHURN, "full").ok
         assert "maintain" not in {span.name for span in trace.spans}
         assert stores(db) == before
+
+    def test_rule_ddl_is_a_gate_admission(self):
+        db = ManagedDatabase(source=SOURCE)
+        with trace_query("add rule") as trace:
+            assert db.add_rule("u(X) :- p(X).").status == "committed"
+        gate = [span for span in trace.spans if span.name == "gate.check"]
+        assert [span.attrs["method"] for span in gate] == ["rule-addition"]
+        assert "gate" in trace.phases
+

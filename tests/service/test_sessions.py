@@ -113,15 +113,40 @@ class TestIntegrityGate:
         assert str(violation.trigger) == "member(eve, hr)"
         assert session.state == "aborted"
         assert not db.holds("leads(eve, hr)")
+        assert not db.holds("member(eve, hr)")
         assert db.lsn == 0
 
-    def test_gate_honors_method_knob(self):
-        db = ManagedDatabase(source=SOURCE, method="full")
+    def test_commit_gate_has_no_method_option(self):
+        """Every commit admits by applying. A rule carries this
+        violation to the constraint, so the relational method alone
+        would have committed it."""
+        import repro
+        from repro.datalog.database import DeductiveDatabase
+        from repro.service.server import DatabaseServer
+        from repro.service.transactions import TransactionManager
+
+        with pytest.raises(TypeError):
+            ManagedDatabase(source=SOURCE, method="nicolas")
+        with pytest.raises(TypeError):
+            repro.open(source=SOURCE, method="full")
+        with pytest.raises(TypeError):
+            DatabaseServer(".", method="bdm")
+        with pytest.raises(TypeError):
+            TransactionManager(
+                DeductiveDatabase.from_source(SOURCE), method="bdm"
+            )
+
+    def test_gate_honors_method_knob(self, db):
+        """A dry run checks with the method it names; it neither closes
+        the session nor commits."""
         session = db.begin()
         session.insert("leads(eve, hr)")
-        result = session.commit()
-        assert result.status == "rejected"
-        assert result.check.method == "full"
+        verdict = session.check("full")
+        assert verdict.method == "full"
+        assert not verdict.ok
+        assert session.state == "open"
+        assert db.lsn == 0
+        assert not db.holds("leads(eve, hr)")
 
     def test_dry_run_check(self, db):
         session = db.begin()

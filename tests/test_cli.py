@@ -466,6 +466,14 @@ class TestServeAndShell:
         assert "listening on" in out
         assert original_serve is not fake_serve
 
+    def test_serve_method_flag_is_gone(self, tmp_path, capsys):
+        """Every commit admits by applying; ``serve`` has no gate
+        method to pick."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(tmp_path / "root"), "--method", "bdm"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_shell_unreachable_server_is_one_line_error(self, capsys):
         code = main(["shell", "--port", "1"])  # nothing listens on 1
         assert code == 2

@@ -81,6 +81,5 @@ class TestOpen:
         assert db.stats()["backend"] == "sqlite"
 
     def test_options_pass_through(self):
-        db = repro.open(source=self.SOURCE, method="full", group_commit=False)
-        assert db.manager.method == "full"
+        db = repro.open(source=self.SOURCE, group_commit=False)
         assert db.manager.group_commit is False
