@@ -127,7 +127,7 @@ def _add_strategy_option(command) -> None:
         action="store_false",
         help="disable supplementary-predicate prefix sharing in the "
         "magic rewrite (the classic rewrite, kept as the differential "
-        "oracle; only meaningful with --strategy magic)",
+        "oracle; inert under --strategy lazy)",
     )
 
 

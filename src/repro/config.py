@@ -12,9 +12,11 @@ it keys engine memos directly.
 The knobs:
 
 ``strategy``
-    How queries are answered: ``lazy`` (per-closure materialization)
-    or ``magic`` (goal-directed bottom-up). Both feed the same
-    semi-naive fixpoint.
+    How queries are answered: ``magic`` (the default, goal-directed
+    bottom-up: only the demanded slice is derived) or ``lazy``
+    (per-closure materialization, also magic's fallback for patterns
+    that bind nothing or whose demand would break stratification).
+    Both feed the same semi-naive fixpoint.
 ``plan``
     Join order: ``greedy`` (cardinality-ranked) or ``source`` (textual).
 ``exec_mode``
@@ -122,7 +124,7 @@ def _default_slow_query_ms() -> Optional[float]:
     return _slow_query_ms(value, "REPRO_SLOW_QUERY_MS")
 
 
-DEFAULT_STRATEGY = "lazy"
+DEFAULT_STRATEGY = "magic"
 DEFAULT_PLAN = "greedy"
 DEFAULT_EXEC = _env_choice("REPRO_EXEC", "exec mode", EXEC_MODES, "batch")
 DEFAULT_JOIN = _env_choice("REPRO_JOIN", "join algo", JOIN_ALGOS, "auto")

@@ -11,7 +11,7 @@ the library needs:
 Two strategies are available, both feeding the same semi-naive
 fixpoint (:func:`repro.datalog.bottomup.evaluate_stratum`):
 
-``lazy`` (default)
+``lazy``
     Intensional predicates are materialized *per dependency closure* on
     first access: querying ``p`` computes exactly the predicates ``p``
     transitively depends on, nothing else. This mirrors the paper's
@@ -19,7 +19,7 @@ fixpoint (:func:`repro.datalog.bottomup.evaluate_stratum`):
     predicate never pays for it (Section 3.2's first drawback of the
     interleaved approaches).
 
-``magic``
+``magic`` (default)
     Goal-directed *bottom-up* evaluation: each query pattern is
     answered by the magic-sets rewrite of its dependency slice
     (:mod:`repro.datalog.magic`), so only demanded tuples are ever

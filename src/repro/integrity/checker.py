@@ -145,11 +145,11 @@ class IntegrityChecker:
 
     *config* selects the query engines used throughout — both the
     ``delta``/``new`` propagation state and the evaluation of residual
-    constraint instances. ``strategy="magic"`` makes the
-    relevant-constraint phase demand-driven: each instantiated
+    constraint instances. Under the default ``strategy="magic"`` the
+    relevant-constraint phase is demand-driven: each instantiated
     constraint query touches only the tuples the magic-sets rewrite
-    demands for it, instead of materializing the full dependency
-    closure of every predicate the constraint mentions.
+    demands for it. ``strategy="lazy"`` instead materializes the full
+    dependency closure of every predicate the constraint mentions.
 
     *old_engine*, when given, answers every read of the current state
     D (the ``delta`` old side, rule-update seeds). A transaction

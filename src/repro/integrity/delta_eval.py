@@ -26,7 +26,10 @@ Two deliberate choices, documented against the paper:
   restricted to the dependency signatures from which some demanded
   pattern is reachable (``DependencyIndex.backward_closure``), so — as
   the paper requires in Section 3.2 — induced updates nobody asks about
-  are never computed.
+  are never computed. The ``new`` side reads U(D) through an overlay
+  engine that, under the default ``magic`` strategy, derives only the
+  demanded slice of the updated state rather than whole dependency
+  closures.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.config import (
 class TestValidation:
     def test_defaults_are_valid(self):
         config = EngineConfig()
-        assert config.strategy == DEFAULT_STRATEGY == "lazy"
+        assert config.strategy == DEFAULT_STRATEGY == "magic"
         assert config.plan == DEFAULT_PLAN
         assert config.exec_mode == DEFAULT_EXEC
         assert config.supplementary is True
@@ -68,14 +68,14 @@ class TestValidation:
     def test_frozen_and_hashable(self):
         config = EngineConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.strategy = "magic"
+            config.strategy = "lazy"
         assert hash(config) == hash(EngineConfig())
         assert config == EngineConfig()
-        assert config != EngineConfig(strategy="magic")
+        assert config != EngineConfig(strategy="lazy")
 
     def test_replace_revalidates(self):
         config = EngineConfig()
-        assert config.replace(strategy="magic").strategy == "magic"
+        assert config.replace(strategy="lazy").strategy == "lazy"
         with pytest.raises(ValueError, match="unknown strategy"):
             config.replace(strategy="psychic")
 
@@ -85,7 +85,7 @@ class TestValidation:
         a = EngineConfig(cache=True)
         b = EngineConfig(cache=False)
         assert a.key() == b.key()
-        assert EngineConfig(strategy="magic").key() != a.key()
+        assert EngineConfig(strategy="lazy").key() != a.key()
 
     def test_fields_are_exactly_the_knobs(self):
         assert [field.name for field in dataclasses.fields(EngineConfig)] == [
@@ -203,15 +203,15 @@ class TestSeamAcceptance:
         from repro.datalog.query import QueryEngine
 
         engine = QueryEngine(
-            FactStore(), Program(), config=EngineConfig(strategy="magic")
+            FactStore(), Program(), config=EngineConfig(strategy="lazy")
         )
-        assert engine.config.strategy == "magic"
+        assert engine.config.strategy == "lazy"
 
     def test_database_engine_memoizes_per_config(self):
         from repro.datalog.database import DeductiveDatabase
 
         db = DeductiveDatabase.from_source("p(a).")
-        config = EngineConfig(strategy="magic")
+        config = EngineConfig(strategy="lazy")
         assert db.engine(config=config) is db.engine(config=config)
         assert db.engine(config=config) is not db.engine(
             config=EngineConfig()
@@ -221,8 +221,8 @@ class TestSeamAcceptance:
         from repro import DeductiveDatabase, IntegrityChecker
 
         db = DeductiveDatabase.from_source("p(a).")
-        checker = IntegrityChecker(db, config=EngineConfig(strategy="magic"))
-        assert checker.config.strategy == "magic"
+        checker = IntegrityChecker(db, config=EngineConfig(strategy="lazy"))
+        assert checker.config.strategy == "lazy"
 
     def test_compute_model(self):
         from repro.datalog.bottomup import compute_model
@@ -240,9 +240,9 @@ class TestSeamAcceptance:
     def test_managed_database(self):
         import repro
 
-        db = repro.open(source="p(a).", config=EngineConfig(strategy="magic"))
-        assert db.config.strategy == "magic"
-        assert db.manager.config.strategy == "magic"
+        db = repro.open(source="p(a).", config=EngineConfig(strategy="lazy"))
+        assert db.config.strategy == "lazy"
+        assert db.manager.config.strategy == "lazy"
 
     def test_loose_knobs_are_gone_not_ignored(self):
         from repro import DeductiveDatabase
