@@ -67,18 +67,6 @@ class Transaction:
             return cls([updates])
         return cls(list(updates))
 
-    @classmethod
-    def merge(cls, transactions: Sequence["Transaction"]) -> "Transaction":
-        """The concatenation of *transactions* as one transaction.
-
-        Order-sensitive in general (net effect is last-wins); callers
-        merging *concurrent* transactions must ensure their write keys
-        are disjoint, in which case the merge is order-independent."""
-        updates: List[Literal] = []
-        for transaction in transactions:
-            updates.extend(transaction.updates)
-        return cls(updates)
-
     def net(self) -> List[Literal]:
         return net_effect(self.updates)
 

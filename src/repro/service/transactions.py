@@ -44,27 +44,17 @@ Only dry runs' U(D) and staged session reads still go through overlay
 engines that derive on demand.
 
 Group commit: concurrent commit calls elect a leader that drains the
-queue and, for mutually non-conflicting transactions, maintains the
-DRed model **once**, runs **one** merged gate check over that change
-set and appends **one** atomic WAL batch record with one fsync — the
-amortization the E12 benchmark measures. The batch record is
-all-or-nothing under crash, so a torn group commit can never
-resurrect half a batch whose gate verdict only covered the whole. If
-the merged gate fails, the merged apply is undone and the batch falls
-back to individual commits so exactly the violating transactions are
-rejected.
-
-**The gate is batch-scoped.** The admitted unit is the merged
-transaction of a batch: batch members commute (disjoint write keys,
-no cross reads), they are applied and logged atomically, and the gate
-guarantees the *resulting* state satisfies the constraints. A
-consequence — pinned by a test — is that two concurrent transactions
-may be admitted together where either alone would have been rejected
-(each curing the other's violation), exactly as if a client had
-submitted them as one transaction; under serialized commits
-(``group_commit=False``) the first of the pair is rejected instead.
-Per-serial-order gating would require checking every member
-individually, forfeiting the amortization group commit exists for.
+queue and admits the batch's transactions one at a time, in queue
+order — validate, reduce, apply, gate, keep or undo — exactly as
+serialized commits (``group_commit=False``) would, so every verdict is
+a serialized one. The batch shares only the log write: its admitted
+members go into **one** WAL record with **one** fsync (a lone member's
+``txn`` record, or an atomic ``batch`` record for two or more), and no
+member is acknowledged before that write returns. A failed write
+undoes the admitted members in reverse order — each change set was
+computed against the state its predecessors left — so memory never
+runs ahead of the log. The batch record is all-or-nothing under
+crash, so a torn group commit resurrects no unacknowledged member.
 
 Constraint DDL (schema evolution, Section 4) is its own commit kind:
 :meth:`TransactionManager.submit_constraint` runs the paper's triage
@@ -117,8 +107,8 @@ from repro.storage.wal import WalRecord
 
 # Service-level latency distributions (seconds):
 #   txn.session_seconds — begin → successful commit, per session;
-#   gate.check_seconds  — one integrity-gate admission (merged,
-#                         individual, dry-run or rule DDL);
+#   gate.check_seconds  — one integrity-gate admission (a commit's,
+#                         a dry run's or rule DDL's);
 #   txn.linger_seconds  — how long a group-commit leader waited for
 #                         stragglers before processing its batch.
 _SESSION_SECONDS = default_registry().histogram("txn.session_seconds")
@@ -326,13 +316,11 @@ class _CommitRequest:
         "constraint_id",
         "budget",
         "max_levels",
-        "effective",
         "event",
         "result",
     )
 
     def __init__(self, kind: str, **fields):
-        self.effective = None
         self.kind = kind
         self.session = fields.get("session")
         self.transaction = fields.get("transaction")
@@ -359,6 +347,11 @@ class _CommitEntry:
         self.version = version
         self.write_keys = write_keys
         self.write_preds = write_preds
+
+
+#: A batch member admitted but not yet logged: its validation footprint,
+#: its effective transaction and the change set that undoes it.
+_Admitted = Tuple[_CommitEntry, Transaction, _Changes]
 
 
 class TransactionManager:
@@ -393,8 +386,8 @@ class TransactionManager:
         self.snapshot_interval = snapshot_interval
         # How long a leader lingers for stragglers *when other commits
         # are already in flight* (never on an idle pipeline): the
-        # Postgres commit_delay idea. Larger batches amortize the gate
-        # check, the WAL fsync and the DRed maintenance pass.
+        # Postgres commit_delay idea. A batch shares only the WAL
+        # fsync; each member is still gated and maintained on its own.
         self.commit_delay = commit_delay
         # Open-session count: the linger heuristic's "siblings" signal.
         self._active_sessions = 0
@@ -419,8 +412,6 @@ class TransactionManager:
             "txn.conflicts": 0,
             "txn.batches": 0,
             "txn.batched_transactions": 0,
-            "txn.merged_gate_checks": 0,
-            "txn.fallback_gate_checks": 0,
             "txn.ddl_committed": 0,
             "txn.ddl_rejected": 0,
             "txn.checkpoints": 0,
@@ -551,20 +542,6 @@ class TransactionManager:
             self._undo(transaction, changes)
         return verdict, changes
 
-    def _log(
-        self, record: WalRecord, transaction: Transaction, changes: _Changes
-    ) -> None:
-        """Make an admitted, already applied transaction durable. If the
-        log write fails, the apply is undone before re-raising, so
-        memory never runs ahead of the log."""
-        if self.storage is None:
-            return
-        try:
-            self.storage.log(record)
-        except BaseException:
-            self._undo(transaction, changes)
-            raise
-
     def _undo(self, transaction: Transaction, changes: _Changes) -> None:
         """Restore the pre-commit state from the change set, in
         O(|change|): invert the model change on the model and the
@@ -658,8 +635,8 @@ class TransactionManager:
         """Take the queued requests; when sessions *other than the
         batch's own* are open (concurrent writers mid-transaction),
         linger up to ``commit_delay`` so their commits join this batch
-        instead of paying their own gate check, fsync and maintenance
-        pass — the Postgres ``commit_delay``/``commit_siblings`` idea.
+        and share its fsync instead of paying their own — the Postgres
+        ``commit_delay``/``commit_siblings`` idea.
         An idle pipeline never waits."""
         with self._queue_lock:
             batch, self._queue = self._queue, []
@@ -706,43 +683,95 @@ class TransactionManager:
 
     def _process_batch_locked(self, batch: List[_CommitRequest]) -> None:
         transactions = [r for r in batch if r.kind == "txn"]
-        ddl = [r for r in batch if r.kind in ("constraint", "rule")]
         if transactions:
             self._bump("txn.batches")
             self._bump("txn.batched_transactions", len(transactions))
-        admitted: List[_CommitRequest] = []
-        for request in transactions:
-            reason = self._validate(request)
-            if reason is not None:
-                self._bump("txn.conflicts")
-                request.finish(CommitResult(CONFLICT, reason=reason))
-            else:
-                admitted.append(request)
-        admitted = [r for r in admitted if self._reduce(r)]
-        group, leftovers = self._mergeable(admitted)
-        if len(group) > 1:
-            self._commit_group(group)
-        elif group:
-            self._commit_individual(group[0])
-        for request in leftovers:
-            # The group just committed; the leftover overlapped with it
-            # (that is *why* it was left over) or with a prior commit —
-            # re-validate against the grown commit log and re-reduce
-            # against the grown state.
-            reason = self._validate(request)
-            if reason is not None:
-                self._bump("txn.conflicts")
-                request.finish(CommitResult(CONFLICT, reason=reason))
-            elif self._reduce(request):
-                self._commit_individual(request)
-        for request in ddl:
+            self._commit_transactions(transactions)
+        for request in batch:
             if request.kind == "rule":
                 self._commit_rule(request)
-            else:
+            elif request.kind == "constraint":
                 self._commit_constraint(request)
 
-    def _validate(self, request: _CommitRequest) -> Optional[str]:
-        """First-committer-wins validation; ``None`` means admissible."""
+    def _commit_transactions(self, requests: List[_CommitRequest]) -> None:
+        """Admit *requests* one at a time, in queue order, as serialized
+        commits would; then log the admitted ones in one WAL record with
+        one fsync. Every result is delivered after that write returns;
+        if it (or anything before it) fails, the admitted members are
+        undone in reverse order and the error propagates."""
+        outcomes: List[Tuple[_CommitRequest, CommitResult]] = []
+        admitted: List[_Admitted] = []
+        try:
+            for request in requests:
+                outcomes.append((request, self._admit_member(request, admitted)))
+            if admitted and self.storage is not None:
+                self.storage.log(self._wal_record(admitted))
+        except BaseException:
+            for _, transaction, changes in reversed(admitted):
+                self._undo(transaction, changes)
+            raise
+        for entry, _, _ in admitted:
+            self._log_commit(entry)
+        self.version += len(admitted)
+        self._bump("txn.commits", len(admitted))
+        for request, result in outcomes:
+            request.finish(result)
+        self._maybe_checkpoint(len(admitted))
+
+    def _admit_member(
+        self, request: _CommitRequest, admitted: List[_Admitted]
+    ) -> CommitResult:
+        """One batch member's serialized admission: validate against the
+        commit log and the members *admitted* before it, reduce, then
+        apply and gate. An admitted member is appended to *admitted*,
+        applied but not yet logged."""
+        lsn = self.version + len(admitted)
+        reason = self._validate(request, [entry for entry, _, _ in admitted])
+        if reason is not None:
+            self._bump("txn.conflicts")
+            return CommitResult(CONFLICT, reason=reason)
+        transaction = self._reduce(request)
+        if transaction is None:
+            self._bump("txn.noop_commits")
+            return CommitResult(COMMITTED, lsn=lsn, reason="no-op transaction")
+        verdict, changes = self._gate(transaction)
+        if not verdict.ok:
+            self._bump("txn.rejected")
+            return CommitResult(
+                REJECTED,
+                check=verdict,
+                reason=(
+                    f"integrity gate: {len(verdict.violations)} "
+                    f"violated constraint instance(s)"
+                ),
+            )
+        entry = _CommitEntry(
+            lsn + 1, transaction.write_keys(), transaction.predicates()
+        )
+        admitted.append((entry, transaction, changes))
+        return CommitResult(COMMITTED, lsn=entry.version, check=verdict)
+
+    @staticmethod
+    def _wal_record(admitted: List[_Admitted]) -> WalRecord:
+        """A lone admitted transaction logs a ``txn`` record; two or
+        more share one atomic ``batch`` record."""
+        if len(admitted) == 1:
+            entry, transaction, _ = admitted[0]
+            return WalRecord(
+                entry.version, "txn", {"updates": transaction.to_strings()}
+            )
+        entries = [
+            {"lsn": entry.version, "updates": transaction.to_strings()}
+            for entry, transaction, _ in admitted
+        ]
+        return WalRecord(admitted[-1][0].version, "batch", {"txns": entries})
+
+    def _validate(
+        self, request: _CommitRequest, pending: List[_CommitEntry]
+    ) -> Optional[str]:
+        """First-committer-wins validation against the commit log and
+        the *pending* footprints of the batch members admitted before
+        this one; ``None`` means admissible."""
         session = request.session
         if session.start_version < self._pruned_below:
             return (
@@ -751,7 +780,7 @@ class TransactionManager:
             )
         write_keys = request.transaction.write_keys()
         read_preds = session.read_closure()
-        for entry in self._commit_log:
+        for entry in itertools.chain(self._commit_log, pending):
             if entry.version <= session.start_version:
                 continue
             overlap = entry.write_keys & write_keys
@@ -768,113 +797,19 @@ class TransactionManager:
                 )
         return None
 
-    def _reduce(self, request: _CommitRequest) -> bool:
-        """Drop Definition-1 no-ops (insert of a present fact, delete
-        of an absent one) against the current extensional state. A
-        transaction whose every update is a no-op commits trivially —
-        no gate, no log record, no LSN — and ``False`` is returned."""
+    def _reduce(self, request: _CommitRequest) -> Optional[Transaction]:
+        """The transaction without its Definition-1 no-ops (insert of a
+        present fact, delete of an absent one) against the current
+        extensional state; ``None`` when every update is a no-op — such
+        a transaction commits trivially, with no gate, log record or
+        LSN."""
         facts = self.database.facts
         effective = [
             update
             for update in request.transaction.net()
             if facts.contains(update.atom) != update.positive
         ]
-        if not effective:
-            self._bump("txn.noop_commits")
-            request.finish(
-                CommitResult(
-                    COMMITTED, lsn=self.version, reason="no-op transaction"
-                )
-            )
-            return False
-        request.effective = Transaction(effective)
-        return True
-
-    def _mergeable(
-        self, requests: List[_CommitRequest]
-    ) -> "tuple[List[_CommitRequest], List[_CommitRequest]]":
-        """Greedily grow a mutually non-conflicting group (disjoint
-        write keys, nobody reads what another member writes): the
-        merged gate check and the atomic batch record are only sound
-        for commuting transactions."""
-        group: List[_CommitRequest] = []
-        leftovers: List[_CommitRequest] = []
-        keys: Set = set()
-        preds: Set[str] = set()
-        reads: Set[str] = set()
-        for request in requests:
-            w_keys = request.transaction.write_keys()
-            w_preds = request.transaction.predicates()
-            r_preds = request.session.read_closure()
-            if (
-                keys & w_keys
-                or preds & r_preds
-                or reads & w_preds
-            ):
-                leftovers.append(request)
-                continue
-            group.append(request)
-            keys |= w_keys
-            preds |= w_preds
-            reads |= r_preds
-        return group, leftovers
-
-    def _commit_group(self, group: List[_CommitRequest]) -> None:
-        merged = Transaction.merge([r.effective for r in group])
-        self._bump("txn.merged_gate_checks")
-        verdict, changes = self._gate(merged)
-        if not verdict.ok:
-            # Someone in the batch violates; find exactly who. Checked
-            # sequentially — each passing member applies before the
-            # next check, as a serial execution would.
-            for request in group:
-                self._bump("txn.fallback_gate_checks")
-                self._commit_individual(request)
-            return
-        first_lsn = self.version + 1
-        entries = []
-        for offset, request in enumerate(group):
-            entries.append(
-                {
-                    "lsn": first_lsn + offset,
-                    "updates": request.effective.to_strings(),
-                }
-            )
-        last_lsn = first_lsn + len(group) - 1
-        record = WalRecord(last_lsn, "batch", {"txns": entries})
-        self._log(record, merged, changes)
-        for offset, request in enumerate(group):
-            lsn = first_lsn + offset
-            self._log_commit(lsn, request.effective)
-            self._bump("txn.commits")
-            request.finish(CommitResult(COMMITTED, lsn=lsn, check=verdict))
-        self.version = last_lsn
-        self._maybe_checkpoint(len(group))
-
-    def _commit_individual(self, request: _CommitRequest) -> None:
-        transaction = request.effective
-        verdict, changes = self._gate(transaction)
-        if not verdict.ok:
-            self._bump("txn.rejected")
-            request.finish(
-                CommitResult(
-                    REJECTED,
-                    check=verdict,
-                    reason=(
-                        f"integrity gate: {len(verdict.violations)} "
-                        f"violated constraint instance(s)"
-                    ),
-                )
-            )
-            return
-        lsn = self.version + 1
-        record = WalRecord(lsn, "txn", {"updates": transaction.to_strings()})
-        self._log(record, transaction, changes)
-        self._log_commit(lsn, transaction)
-        self.version = lsn
-        self._bump("txn.commits")
-        request.finish(CommitResult(COMMITTED, lsn=lsn, check=verdict))
-        self._maybe_checkpoint(1)
+        return Transaction(effective) if effective else None
 
     def _commit_rule(self, request: _CommitRequest) -> None:
         from repro.analysis import analyze_rule_candidate
@@ -1002,19 +937,13 @@ class TransactionManager:
             candidate = f"{candidate}'"
         return candidate
 
-    def _log_commit(self, version: int, transaction: Transaction) -> None:
+    def _log_commit(self, entry: _CommitEntry) -> None:
         if (
             len(self._commit_log) == self._commit_log.maxlen
             and self._commit_log
         ):
             self._pruned_below = self._commit_log[0].version
-        self._commit_log.append(
-            _CommitEntry(
-                version,
-                transaction.write_keys(),
-                transaction.predicates(),
-            )
-        )
+        self._commit_log.append(entry)
 
     def _maybe_checkpoint(self, committed: int) -> None:
         self._commits_since_checkpoint += committed

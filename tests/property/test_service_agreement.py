@@ -14,6 +14,11 @@ agree with a fresh :class:`DeductiveDatabase` over the same facts:
   on the same pre-state as the oracle: ``ok``, the violation set,
   ``instances_evaluated`` and ``induced_updates`` must all match.
 
+A second property pins group commit to serialized commits: a batch of
+concurrent transactions admitted by one group-commit leader gets, per
+transaction, the verdict and LSN that committing them one by one gives,
+and ends in the same stores.
+
 ``REPRO_STRESS=1`` raises the example count.
 """
 
@@ -25,6 +30,7 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, assume, example, given, settings
 
 import repro
+from repro.datalog.bottomup import compute_model
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program, Rule
@@ -32,6 +38,7 @@ from repro.integrity.checker import IntegrityChecker
 from repro.integrity.transactions import Transaction
 from repro.logic.formulas import Atom, Literal
 from repro.logic.parser import parse_rule
+from repro.service.transactions import _CommitRequest
 
 from tests.property.strategies import CONSTANTS, guarded_constraints
 
@@ -69,9 +76,17 @@ def edb_literals(draw):
     return Literal(Atom(pred, args), draw(st.booleans()))
 
 
+def transaction_lists(min_size, max_size):
+    return st.lists(
+        st.lists(edb_literals(), min_size=1, max_size=3),
+        min_size=min_size,
+        max_size=max_size,
+    )
+
+
 @st.composite
-def histories(draw):
-    """A consistent starting database and a sequence of transactions."""
+def databases(draw):
+    """A consistent starting database."""
     texts = draw(
         st.lists(st.sampled_from(RULE_POOL), max_size=4, unique=True)
     )
@@ -85,14 +100,13 @@ def histories(draw):
         except Exception:
             assume(False)
     assume(db.all_constraints_satisfied())
-    transactions = draw(
-        st.lists(
-            st.lists(edb_literals(), min_size=1, max_size=3),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    return db, transactions
+    return db
+
+
+@st.composite
+def histories(draw):
+    """A consistent starting database and a sequence of transactions."""
+    return draw(databases()), draw(transaction_lists(1, 8))
 
 
 def fresh(facts, db):
@@ -193,3 +207,56 @@ def test_service_agrees_with_recomputation(case):
                 else:
                     facts.discard(literal.atom)
         assert_agrees(managed, fresh(facts, db))
+
+
+def staged_sessions(managed, transactions):
+    """One session per transaction, all begun before any commits: the
+    concurrent writers of one batch."""
+    sessions = []
+    for transaction in transactions:
+        session = managed.begin()
+        session.stage(transaction)
+        sessions.append(session)
+    return sessions
+
+
+def stores(managed):
+    manager = managed.manager
+    return (
+        set(manager.database.facts),
+        set(manager.model.edb),
+        set(manager.model.model),
+    )
+
+
+@given(databases(), transaction_lists(2, 5))
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much],
+)
+def test_group_commit_agrees_with_serialized_commits(db, transactions):
+    grouped = repro.open(source=db.to_source())
+    requests = [
+        _CommitRequest("txn", session=session, transaction=session.transaction())
+        for session in staged_sessions(grouped, transactions)
+    ]
+    with grouped.manager._commit_mutex:
+        grouped.manager._process_batch(requests)
+    serial = repro.open(source=db.to_source(), group_commit=False)
+    serialized = [
+        session.commit() for session in staged_sessions(serial, transactions)
+    ]
+    for request, alone in zip(requests, serialized):
+        batched = request.result
+        assert (batched.status, batched.lsn) == (alone.status, alone.lsn)
+        assert (batched.check is None) is (alone.check is None)
+        if alone.check is not None:
+            assert set(map(violation_key, batched.check.violations)) == set(
+                map(violation_key, alone.check.violations)
+            )
+    assert grouped.lsn == serial.lsn
+    assert stores(grouped) == stores(serial)
+    database = grouped.manager.database
+    fresh = compute_model(database.facts, database.program)
+    assert set(grouped.manager.model.model) == set(fresh)

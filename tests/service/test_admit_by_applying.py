@@ -85,7 +85,12 @@ class TestRejectionRestoresState:
         before = stores(db)
         results = batch(db, [CHURN, ["r(c)"]])
         assert [r.status for r in results] == ["rejected", "rejected"]
-        assert db.stats()["txn.fallback_gate_checks"] == 2
+        # Each member's own verdict: the violation its own updates make.
+        for result, trigger in zip(results, ["r(b)", "r(c)"]):
+            assert not result.check.ok
+            assert {str(v.trigger) for v in result.check.violations} == {
+                trigger
+            }
         assert stores(db) == before
         assert_model_is_recomputed(db)
 
@@ -181,15 +186,26 @@ class TestWalFailureRollsBack:
         assert retried.status == "committed" and retried.lsn == lsn + 1
 
     def test_batch_path(self, durable, monkeypatch):
-        before = stores(durable)
-        with monkeypatch.context() as patch:
-            self.break_log(durable, patch)
-            with pytest.raises(OSError):
-                batch(durable, [["ok(f)", "r(f)"], ["p(g)"]])
-        assert stores(durable) == before
-        assert_model_is_recomputed(durable)
-        results = batch(durable, [["ok(f)", "r(f)"], ["p(g)"]])
-        assert [r.status for r in results] == ["committed", "committed"]
+        for members in (
+            [["ok(f)", "r(f)"], ["p(g)"]],
+            # The members' change sets interact: the first deletes s(b),
+            # the second derives it again. Only undoing the second
+            # before the first leaves s(b), which p(b) supports, in the
+            # model.
+            [["not p(b)"], ["ok(b)", "r(b)"]],
+        ):
+            before = stores(durable)
+            lsn = durable.lsn
+            with monkeypatch.context() as patch:
+                self.break_log(durable, patch)
+                with pytest.raises(OSError):
+                    batch(durable, members)
+            assert stores(durable) == before
+            assert_model_is_recomputed(durable)
+            assert durable.lsn == lsn
+            results = batch(durable, members)
+            assert [r.status for r in results] == ["committed", "committed"]
+            assert [r.lsn for r in results] == [lsn + 1, lsn + 2]
 
 
 class TestCommitTrace:

@@ -91,7 +91,7 @@ class TestTornCommit:
 
     def test_torn_group_commit_is_all_or_nothing(self, tmp_path):
         """A batch record torn mid-write must not resurrect a prefix of
-        the batch: the gate verdict covered the whole group only."""
+        the batch: no member of a torn batch was acknowledged."""
         import threading
 
         directory = tmp_path / "db"

@@ -7,6 +7,8 @@ import threading
 import pytest
 
 from repro.datalog.bottomup import compute_model
+from repro.logic.parser import parse_atom
+from repro.obs.metrics import default_registry
 from repro.service.database import ManagedDatabase
 from repro.service.transactions import SessionError
 
@@ -271,12 +273,13 @@ class TestConcurrency:
             thread.join()
         assert sorted(outcomes) == ["committed", "conflict", "conflict", "conflict"]
 
-    def test_group_commit_batches_queued_writers(self):
+    def test_group_commit_batches_queued_writers(self, tmp_path):
         """Deterministic batching: while a leader slot is blocked, the
-        queue fills; the next leader merges all waiting transactions
-        into one gate check and one atomic batch record."""
-        db = ManagedDatabase(source=SOURCE)
+        queue fills; the next leader admits all waiting transactions
+        as one batch and logs them in one WAL append."""
+        db = ManagedDatabase(tmp_path / "db", SOURCE, sync=False)
         manager = db.manager
+        before = default_registry().snapshot()
         sessions = [db.begin() for _ in range(4)]
         for worker, session in enumerate(sessions):
             session.insert(f"employee(b{worker})")
@@ -299,18 +302,21 @@ class TestConcurrency:
             thread.join()
         stats = db.stats()
         assert stats["txn.commits"] == 4
-        assert stats["txn.merged_gate_checks"] == 1
-        assert stats["txn.fallback_gate_checks"] == 0
+        assert stats["txn.batches"] == 1
+        assert stats["txn.batched_transactions"] == 4
+        assert default_registry().diff(before)["wal.appends"] == 1
         assert db.lsn == 4
         for worker in range(4):
             assert db.holds(f"employee(b{worker})")
+        db.close()
 
 
 class TestBatchScopedGate:
-    """The documented group-commit semantics: the admitted unit is the
-    merged batch. Mutually *curing* transactions commit together (as
-    if submitted as one transaction) while serialized commits reject
-    the first of the pair."""
+    """Group commit gives serialized verdicts: a batch admits its
+    members one at a time, so a pair of mutually *curing* transactions
+    gets the same verdicts in one batch as committed one by one: the
+    first is rejected, so the second cures nothing and is rejected
+    too."""
 
     CURE_SOURCE = """
     p(a).
@@ -338,11 +344,10 @@ class TestBatchScopedGate:
     def test_curing_pair_admitted_as_one_batch(self):
         db = ManagedDatabase(source=self.CURE_SOURCE)
         results = self.batch_of(db, [["p(b)"], ["q(b)"]])
-        assert [r.status for r in results] == ["committed", "committed"]
-        assert db.holds("p(b)") and db.holds("q(b)")
+        assert [r.status for r in results] == ["rejected", "rejected"]
+        assert not db.holds("p(b)") and not db.holds("q(b)")
         assert db.database.violated_constraints() == []
-        # Logged atomically: both underneath one batch gate check.
-        assert db.stats()["txn.merged_gate_checks"] == 1
+        assert db.lsn == 0
 
     def test_serialized_commits_reject_the_first_of_the_pair(self):
         db = ManagedDatabase(source=self.CURE_SOURCE, group_commit=False)
@@ -357,10 +362,12 @@ class TestBatchScopedGate:
 
 class TestGroupCommitFallback:
     def test_merged_batch_with_violator_rejects_exactly_the_violator(self):
-        """Force a batch where one member violates: the merged gate
-        fails, the fallback isolates the culprit."""
+        """Force a batch where one member violates: each member is
+        gated on its own, so exactly the culprit is rejected and leaves
+        no trace in any store."""
         db = ManagedDatabase(source=SOURCE)
         manager = db.manager
+        facts_before = set(manager.database.facts)
         good = db.begin()
         good.insert("employee(bob)")
         bad = db.begin()
@@ -378,10 +385,17 @@ class TestGroupCommitFallback:
             manager._process_batch(requests)
         statuses = [r.result.status for r in requests]
         assert statuses == ["committed", "rejected", "committed"]
+        assert [r.result.check.ok for r in requests] == [True, False, True]
         assert requests[1].result.check.violations
-        assert db.holds("employee(bob)") and db.holds("employee(carol)")
-        assert not db.holds("leads(eve, hr)")
-        assert db.stats()["txn.fallback_gate_checks"] == 3
+        assert [r.result.lsn for r in requests] == [1, None, 2]
+        expected = facts_before | {
+            parse_atom("employee(bob)"),
+            parse_atom("employee(carol)"),
+        }
+        assert set(manager.database.facts) == expected
+        assert set(manager.model.edb) == expected
+        fresh = compute_model(manager.database.facts, manager.database.program)
+        assert sorted(map(str, fresh)) == model_facts(db)
 
 
 class TestDurability:
