@@ -19,6 +19,12 @@ constraints, does U(D)?* They differ in how much work they do:
     The paper's two-phase method (Proposition 3): compile potential
     updates and update constraints without fact access, then evaluate
     ``¬delta(U, Lτ) ∨ new(U, s(C))`` with the goal-directed delta.
+    The compile phase runs once per update signature
+    ``(pred, arity, sign)``, on its most general pattern, and is
+    memoized on the checker (Section 3.3.1: the update constraints of
+    an update pattern "can be precompiled as well"); a transaction's
+    check is assembled from the memo. DDL replaces the checker, and
+    the memo with it.
     :meth:`IntegrityChecker.check_applied` is the same method for an
     update already applied to a maintained model: ``delta`` is read
     off DRed's change set, ``new`` off the candidate model.
@@ -39,12 +45,16 @@ constraints, does U(D)?* They differ in how much work they do:
 
 Every result carries a ``stats`` dict (atom lookups, instances
 evaluated, induced updates computed) so the benchmarks can report the
-cost model the paper argues about, not just wall time.
+cost model the paper argues about, not just wall time. For
+``check_bdm`` and :meth:`IntegrityChecker.check_applied`,
+``potential_updates`` and ``update_constraints`` count the prepared
+patterns the transaction's signatures select (after the extensional
+screen), not the ground literals a per-transaction compile would give.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
@@ -57,10 +67,12 @@ from repro.integrity.relevance import RelevanceIndex
 from repro.integrity.transactions import Transaction
 from repro.integrity.update_constraints import (
     CompiledCheck,
+    UpdateConstraint,
     compile_update_constraints,
 )
 from repro.logic.formulas import Atom, Formula, Literal
 from repro.logic.substitution import Substitution
+from repro.logic.terms import Variable
 from repro.logic.unify import match
 from repro.obs.trace import current_trace
 UpdateInput = Union[str, Literal, Transaction, Sequence[Union[str, Literal]]]
@@ -158,6 +170,13 @@ class IntegrityChecker:
     database's own engine for *config* re-derives what the reads need.
     :meth:`check_applied` reads the same committed state after the
     update has been applied to it, when it holds U(D).
+
+    :meth:`check_bdm` and :meth:`check_applied` compile each update
+    signature ``(pred, arity, sign)`` once, on its most general pattern
+    ``pred(_U0, …, _Un-1)``, and memoize the result per checker. The
+    memo holds at most two entries per updated predicate. It is never
+    invalidated: the checker's indexes are as fixed as it is, and the
+    service replaces the checker on every rule or constraint DDL.
     """
 
     def __init__(
@@ -173,6 +192,10 @@ class IntegrityChecker:
         # Fact-independent structures, shared across checks.
         self.dependency_index = DependencyIndex(database.program)
         self.relevance = RelevanceIndex(database.constraints)
+        # Update signature -> the compiled check of its most general
+        # pattern, filled on first use. A racing double fill stores
+        # equal values, so it needs no lock.
+        self._prepared: Dict[Tuple[str, int, bool], CompiledCheck] = {}
 
     def _old_state(self) -> QueryEngine:
         """The engine reads of the current state D go through."""
@@ -238,13 +261,61 @@ class IntegrityChecker:
         )
 
     def _compile_traced(self, updates: List[Literal]) -> CompiledCheck:
-        """:meth:`compile`, in the active trace's ``gate.compile`` phase
-        when there is one."""
+        """:meth:`_prepared_check`, in the active trace's
+        ``gate.compile`` phase when there is one."""
         trace = current_trace()
         if trace is None:
-            return self.compile(updates)
+            return self._prepared_check(updates)
         with trace.phase("gate.compile"):
-            return self.compile(updates)
+            return self._prepared_check(updates)
+
+    def _prepared_check(self, updates: List[Literal]) -> CompiledCheck:
+        """The compiled check of ground *updates*, assembled from the
+        memoized compile of each distinct update signature, in order of
+        first appearance; an update constraint reached from two
+        signatures is kept once.
+
+        A pattern is more general than the ground updates, so it can
+        keep an update constraint whose trigger carries a constant no
+        update has. The extensional screen drops it when the trigger's
+        predicate has no rules: such a trigger's only induced updates
+        are the transaction's explicit ones, so one that matches none
+        of them never fires, and the ``delta`` it would demand is never
+        built."""
+        potential: Dict[Literal, None] = {}
+        update_constraints: Dict[
+            Tuple[str, Literal, Formula], UpdateConstraint
+        ] = {}
+        is_idb = self.database.program.is_idb
+        for signature in dict.fromkeys(
+            (u.atom.pred, u.atom.arity, u.positive) for u in updates
+        ):
+            compiled = self._prepared.get(signature)
+            if compiled is None:
+                compiled = self._prepared[signature] = self.compile(
+                    [_most_general(*signature)]
+                )
+            potential.update(dict.fromkeys(compiled.potential))
+            for update_constraint in compiled.update_constraints:
+                trigger = update_constraint.trigger
+                if not is_idb(trigger.atom.pred) and not any(
+                    match(trigger, update) is not None for update in updates
+                ):
+                    continue
+                update_constraints.setdefault(
+                    (
+                        update_constraint.constraint_id,
+                        trigger,
+                        update_constraint.instance.formula,
+                    ),
+                    update_constraint,
+                )
+        return CompiledCheck(
+            tuple(updates),
+            list(potential),
+            list(update_constraints.values()),
+            self.dependency_index,
+        )
 
     def _check_update_constraints(
         self,
@@ -277,25 +348,30 @@ class IntegrityChecker:
         )
         shared_engine = delta.new_engine
         violations: List[Violation] = []
-        checked: Set[Formula] = set()
+        # Each distinct instance is evaluated once, but a false one is
+        # reported for every constraint it is a residual of: two
+        # constraints can simplify to one formula (say ``false``).
+        checked: Dict[Formula, bool] = {}
+        reported: Set[Violation] = set()
         for update_constraint in compiled.update_constraints:
             for binding in delta.answers(update_constraint.trigger):
                 instance = update_constraint.instance.instantiate(binding)
-                if instance in checked:
+                satisfied = checked.get(instance)
+                if satisfied is None:
+                    engine = shared_engine if fresh_engine is None else fresh_engine()
+                    satisfied = checked[instance] = engine.evaluate(instance)
+                    if fresh_engine is not None:
+                        stats["lookups"] += engine.lookup_count
+                if satisfied:
                     continue
-                checked.add(instance)
-                engine = shared_engine if fresh_engine is None else fresh_engine()
-                satisfied = engine.evaluate(instance)
-                if fresh_engine is not None:
-                    stats["lookups"] += engine.lookup_count
-                if not satisfied:
-                    violations.append(
-                        Violation(
-                            update_constraint.constraint_id,
-                            instance,
-                            update_constraint.trigger.substitute(binding),
-                        )
-                    )
+                violation = Violation(
+                    update_constraint.constraint_id,
+                    instance,
+                    update_constraint.trigger.substitute(binding),
+                )
+                if violation not in reported:
+                    reported.add(violation)
+                    violations.append(violation)
         stats["induced_updates"] = len(delta.induced_updates())
         stats["instances_evaluated"] = len(checked)
         stats["lookups"] += delta.lookup_count
@@ -334,8 +410,10 @@ class IntegrityChecker:
         )
 
     def compile(self, updates: UpdateInput) -> CompiledCheck:
-        """The fact-independent compile phase, exposed for precompilation
-        of update patterns and for the benchmarks."""
+        """The fact-independent compile phase for whatever literals it
+        is given, ground or patterns: the prepared checks of
+        :meth:`check_bdm` call it on most general patterns; the
+        baselines and the benchmarks call it on ground updates."""
         if not isinstance(updates, list):
             updates = _normalize_updates(updates)
         return compile_update_constraints(
@@ -648,6 +726,14 @@ class IntegrityChecker:
         return seeds
 
 
+def _most_general(pred: str, arity: int, positive: bool) -> Literal:
+    """``pred(_U0, …, _Un-1)`` with the given sign. The variable names
+    are fixed, so two signatures that reach one potential update reach
+    it as one literal."""
+    args = tuple(Variable(f"_U{i}") for i in range(arity))
+    return Literal(Atom(pred, args), positive)
+
+
 class _AppliedChanges:
     """``delta`` for an update already applied to a maintained model:
     the induced updates are read off DRed's ``(inserted, deleted)``
@@ -664,6 +750,11 @@ class _AppliedChanges:
     against its own bucket; the effective explicit updates outside the
     closure match no trigger but count as induced updates, as in
     :meth:`IntegrityChecker.check_bdm`.
+
+    Each bucket lists the explicit updates first, in transaction order,
+    then the rest of the change set, as :class:`DeltaEvaluator` does:
+    when several bindings reach one residual instance, the first names
+    the violation's trigger, so a commit and a dry run name the same.
     """
 
     def __init__(
@@ -676,12 +767,19 @@ class _AppliedChanges:
     ):
         explicit_deletions = {u.atom for u in updates if not u.positive}
         unchanged = inserted & (deleted | explicit_deletions)
+        changed = {True: inserted, False: deleted}
+        ordered = [(u.atom, u.positive) for u in updates]
+        ordered.extend((atom, True) for atom in inserted)
+        ordered.extend((atom, False) for atom in deleted)
         self._buckets: Dict[Signature, List[Atom]] = {}
-        for atoms, positive in ((inserted, True), (deleted, False)):
-            for atom in atoms:
-                key = (atom.pred, positive)
-                if key in closure and atom not in unchanged:
-                    self._buckets.setdefault(key, []).append(atom)
+        for atom, positive in dict.fromkeys(ordered):
+            key = (atom.pred, positive)
+            if (
+                key in closure
+                and atom not in unchanged
+                and atom in changed[positive]
+            ):
+                self._buckets.setdefault(key, []).append(atom)
         self._outside = [
             update
             for update in updates

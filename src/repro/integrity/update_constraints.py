@@ -12,7 +12,10 @@ The result is a :class:`CompiledCheck`, which the evaluation phase
 (:mod:`repro.integrity.checker`) later confronts with the facts. Because
 no facts are touched here, compiled checks for update *patterns* can be
 precomputed per relation — the paper's "this set can be precompiled as
-well" (Section 3.3.1).
+well" (Section 3.3.1). The integrity gate does exactly that: it
+compiles the most general pattern of each update signature
+``(pred, arity, sign)`` once per checker and assembles every
+transaction's check from those prepared patterns.
 """
 
 from __future__ import annotations

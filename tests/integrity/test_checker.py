@@ -7,6 +7,7 @@ constraints hold, every method must agree with the full check.
 import pytest
 
 from repro.datalog.database import DeductiveDatabase
+from repro.integrity import checker as checker_module
 from repro.integrity.checker import IntegrityChecker
 from repro.integrity.transactions import Transaction
 from repro.logic.parser import parse_literal
@@ -313,3 +314,79 @@ class TestCheckResultApi:
         db, checker = make_checker("forall X: p(X) -> q(X).")
         with pytest.raises(ValueError):
             checker.check_bdm(parse_literal("p(X)"))
+
+
+class TestPreparedChecks:
+    """``check_bdm`` compiles each update signature once, on its most
+    general pattern, and builds every transaction's check from that."""
+
+    SOURCE = """
+    employee(e0). dept(d0). works_in(e0, d0).
+    member(E, D) :- works_in(E, D).
+    member(E, D) :- leads(E, D).
+    forall E, D: member(E, D) -> employee(E).
+    forall E, D: works_in(E, D) -> dept(D).
+    """
+
+    def test_one_compile_per_signature(self, monkeypatch):
+        compiled = []
+        real = checker_module.compile_update_constraints
+
+        def counting(program, constraints, updates, **kwargs):
+            compiled.extend(updates)
+            return real(program, constraints, updates, **kwargs)
+
+        monkeypatch.setattr(
+            checker_module, "compile_update_constraints", counting
+        )
+        db, checker = make_checker(self.SOURCE)
+        for i in range(50):
+            # Every other run names a department that does not exist.
+            dept = "d0" if i % 2 == 0 else f"x{i}"
+            result = checker.check_bdm(
+                [f"employee(e{i + 1})", f"works_in(e{i + 1}, {dept})"]
+            )
+            assert result.ok is (i % 2 == 0)
+        assert [(str(l.atom), l.positive) for l in compiled] == [
+            ("employee(_U0)", True),
+            ("works_in(_U0, _U1)", True),
+        ]
+
+    def test_potential_update_from_two_signatures_kept_once(self):
+        db, checker = make_checker(self.SOURCE)
+        both = checker.check_bdm(["works_in(e9, d0)", "leads(e9, d0)"])
+        works = checker.check_bdm(["works_in(e9, d0)"])
+        assert both.violated_constraint_ids() == {"c1"}
+        assert len(both.violations) == 1
+        # leads adds its own potential update, but reaches member only
+        # as works_in already did.
+        assert both.stats["potential_updates"] == 3
+        assert works.stats["potential_updates"] == 2
+        assert both.stats["update_constraints"] == (
+            works.stats["update_constraints"]
+        )
+
+    def test_shared_residual_reported_for_each_constraint(self):
+        # Both constraints simplify to ``false``: the one instance is
+        # evaluated once, and each constraint is reported violated.
+        db, checker = make_checker(
+            """
+            q(X) :- p(X), marked(X).
+            forall X: p(X) -> false.
+            forall X: q(X) -> false.
+            """
+        )
+        result = checker.check_bdm(["marked(a)", "p(a)"])
+        assert result.violated_constraint_ids() == {"c1", "c2"}
+        assert result.stats["instances_evaluated"] == 1
+
+    def test_extensional_screen_drops_constants_no_update_has(self):
+        # The pattern not p(_U0) reaches the occurrence p(b); the ground
+        # update not p(a) does not, so no fact may be read for it.
+        db, checker = make_checker("p(a). p(b). q(c). p(b) or q(d).")
+        result = checker.check_bdm("not p(a)")
+        assert result.ok
+        assert result.stats["update_constraints"] == 0
+        assert result.stats["induced_updates"] == 0
+        assert result.stats["lookups"] == 0
+        assert not checker.check_bdm("not p(b)").ok

@@ -173,9 +173,24 @@ _CHURN = [
 ]
 _MARKED = Literal(Atom("marked", (_A,)), True)
 
+# Pinned: two deletions reach the one residual instance of a
+# nonemptiness constraint through one pattern trigger. The commit's
+# change set and the dry run's delta must list them in transaction
+# order, so both name not p(b), the first, as the witness trigger.
+NONEMPTY = DeductiveDatabase.from_source(
+    """
+    p(b).
+    exists X: p(X).
+    """
+)
+_B = CONSTANTS[1]
+_P_A = Literal(Atom("p", (_A,)), True)
+_UNSTOCK = [Literal(Atom("p", (_B,)), False), _P_A.complement()]
+
 
 @given(histories())
 @example((STORED_AND_DERIVED, [_CHURN, _CHURN + [_MARKED]]))
+@example((NONEMPTY, [[_P_A], _UNSTOCK]))
 @settings(
     max_examples=EXAMPLES,
     deadline=None,
