@@ -112,6 +112,38 @@ class Violation:
         return f"Violation({self.constraint_id}: {self.instance}{via})"
 
 
+class _Residuals:
+    """The residual instances of one check: each distinct formula is
+    evaluated once, but a false one is reported for every constraint
+    it is a residual of — two constraints can simplify to one formula
+    (say ``false``)."""
+
+    __slots__ = ("evaluate", "truth", "violations", "_reported")
+
+    def __init__(self, evaluate: Callable[[Formula], bool]):
+        self.evaluate = evaluate
+        self.truth: Dict[Formula, bool] = {}
+        self.violations: List[Violation] = []
+        self._reported: Set[Violation] = set()
+
+    def violated(self, formula: Formula) -> bool:
+        satisfied = self.truth.get(formula)
+        if satisfied is None:
+            satisfied = self.truth[formula] = self.evaluate(formula)
+        return not satisfied
+
+    def report(
+        self,
+        constraint_id: str,
+        formula: Formula,
+        trigger: Optional[Literal] = None,
+    ) -> None:
+        violation = Violation(constraint_id, formula, trigger)
+        if violation not in self._reported:
+            self._reported.add(violation)
+            self.violations.append(violation)
+
+
 class CheckResult:
     """Outcome of an integrity check plus its cost accounting."""
 
@@ -346,36 +378,30 @@ class IntegrityChecker:
         delta = make_delta(
             index.backward_closure(compiled.demanded_signatures())
         )
-        shared_engine = delta.new_engine
-        violations: List[Violation] = []
-        # Each distinct instance is evaluated once, but a false one is
-        # reported for every constraint it is a residual of: two
-        # constraints can simplify to one formula (say ``false``).
-        checked: Dict[Formula, bool] = {}
-        reported: Set[Violation] = set()
+        if fresh_engine is None:
+            evaluate = delta.new_engine.evaluate
+        else:
+
+            def evaluate(instance: Formula) -> bool:
+                engine = fresh_engine()
+                satisfied = engine.evaluate(instance)
+                stats["lookups"] += engine.lookup_count
+                return satisfied
+
+        residuals = _Residuals(evaluate)
         for update_constraint in compiled.update_constraints:
             for binding in delta.answers(update_constraint.trigger):
                 instance = update_constraint.instance.instantiate(binding)
-                satisfied = checked.get(instance)
-                if satisfied is None:
-                    engine = shared_engine if fresh_engine is None else fresh_engine()
-                    satisfied = checked[instance] = engine.evaluate(instance)
-                    if fresh_engine is not None:
-                        stats["lookups"] += engine.lookup_count
-                if satisfied:
-                    continue
-                violation = Violation(
-                    update_constraint.constraint_id,
-                    instance,
-                    update_constraint.trigger.substitute(binding),
-                )
-                if violation not in reported:
-                    reported.add(violation)
-                    violations.append(violation)
+                if residuals.violated(instance):
+                    residuals.report(
+                        update_constraint.constraint_id,
+                        instance,
+                        update_constraint.trigger.substitute(binding),
+                    )
         stats["induced_updates"] = len(delta.induced_updates())
-        stats["instances_evaluated"] = len(checked)
+        stats["instances_evaluated"] = len(residuals.truth)
         stats["lookups"] += delta.lookup_count
-        return CheckResult(violations, stats, method)
+        return CheckResult(residuals.violations, stats, method)
 
     def check_applied(
         self,
@@ -455,27 +481,19 @@ class IntegrityChecker:
         iff no deduction rule connects the updates to the constraints."""
         updates = _normalize_updates(updates)
         engine = self.database.updated(updates).engine(config=self.config)
-        violations: List[Violation] = []
-        checked: Set[Formula] = set()
+        residuals = _Residuals(engine.evaluate)
         for update in updates:
             for constraint in self.relevance.relevant_constraints(update):
                 for instance in simplified_instances(constraint, update):
-                    if instance.formula in checked:
-                        continue
-                    checked.add(instance.formula)
-                    if not engine.evaluate(instance.formula):
-                        violations.append(
-                            Violation(
-                                constraint.id,
-                                instance.formula,
-                                instance.trigger,
-                            )
+                    if residuals.violated(instance.formula):
+                        residuals.report(
+                            constraint.id, instance.formula, instance.trigger
                         )
         stats = {
-            "instances_evaluated": len(checked),
+            "instances_evaluated": len(residuals.truth),
             "lookups": engine.lookup_count,
         }
-        return CheckResult(violations, stats, "nicolas")
+        return CheckResult(residuals.violations, stats, "nicolas")
 
     def check_interleaved(self, updates: UpdateInput) -> CheckResult:
         """[DECK 86]/[KOWA 87] style: eagerly compute *all* induced
@@ -490,31 +508,22 @@ class IntegrityChecker:
             config=self.config,
             old_engine=self._old_state(),
         )
-        engine = delta.new_engine
-        violations: List[Violation] = []
-        checked: Set[Formula] = set()
+        residuals = _Residuals(delta.new_engine.evaluate)
         induced = delta.induced_updates()
         for literal in induced:
             for constraint in self.relevance.relevant_constraints(literal):
                 for instance in simplified_instances(constraint, literal):
-                    if instance.formula in checked:
-                        continue
-                    checked.add(instance.formula)
-                    if not engine.evaluate(instance.formula):
-                        violations.append(
-                            Violation(
-                                constraint.id,
-                                instance.formula,
-                                instance.trigger,
-                            )
+                    if residuals.violated(instance.formula):
+                        residuals.report(
+                            constraint.id, instance.formula, instance.trigger
                         )
         stats = {
             "induced_updates": len(induced),
             "candidates_examined": delta.candidates_examined,
-            "instances_evaluated": len(checked),
+            "instances_evaluated": len(residuals.truth),
             "lookups": delta.lookup_count,
         }
-        return CheckResult(violations, stats, "interleaved")
+        return CheckResult(residuals.violations, stats, "interleaved")
 
     def check_lloyd(self, updates: UpdateInput) -> CheckResult:
         """[LLOY 86] style: the same compiled update constraints, but
@@ -531,9 +540,7 @@ class IntegrityChecker:
         if not compiled.update_constraints:
             return CheckResult([], stats, "lloyd")
         engine = self.database.updated(updates).engine(config=self.config)
-        violations: List[Violation] = []
-        checked: Set[Formula] = set()
-        rechecked_constraints: Set[str] = set()
+        residuals = _Residuals(engine.evaluate)
         for update_constraint in compiled.update_constraints:
             trigger = update_constraint.trigger
             if trigger.positive:
@@ -543,32 +550,21 @@ class IntegrityChecker:
                 for binding in engine.match_atom(trigger.atom):
                     stats["guard_answers"] += 1
                     instance = update_constraint.instance.instantiate(binding)
-                    if instance in checked:
-                        continue
-                    checked.add(instance)
-                    if not engine.evaluate(instance):
-                        violations.append(
-                            Violation(
-                                update_constraint.constraint_id,
-                                instance,
-                                trigger.substitute(binding),
-                            )
+                    if residuals.violated(instance):
+                        residuals.report(
+                            update_constraint.constraint_id,
+                            instance,
+                            trigger.substitute(binding),
                         )
             else:
                 # ¬new(U, ¬Lτ) ∨ new(U, s(C)) closed universally is
                 # equivalent to re-evaluating the parent constraint.
                 constraint = update_constraint.instance.constraint
-                if constraint.id in rechecked_constraints:
-                    continue
-                rechecked_constraints.add(constraint.id)
-                checked.add(constraint.formula)
-                if not engine.evaluate(constraint.formula):
-                    violations.append(
-                        Violation(constraint.id, constraint.formula)
-                    )
-        stats["instances_evaluated"] = len(checked)
+                if residuals.violated(constraint.formula):
+                    residuals.report(constraint.id, constraint.formula)
+        stats["instances_evaluated"] = len(residuals.truth)
         stats["lookups"] = engine.lookup_count
-        return CheckResult(violations, stats, "lloyd")
+        return CheckResult(residuals.violations, stats, "lloyd")
 
     # -- rule updates (Section 3.2: "treated like conditional updates") -----------------
 

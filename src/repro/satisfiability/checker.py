@@ -12,6 +12,21 @@ Level-saturation model generation:
   facts then form a finite model — and fails when every enforcement
   alternative has been exhausted, which proves unsatisfiability.
 
+The simplified instances are precompiled once per trigger signature and
+indexed by the constants their trigger fixes (``_TriggerIndex``), so a
+new fact is matched only against instances whose constants agree with
+its arguments.
+
+Refutation at assertion (clausal mode only): an instance is
+*anti-monotone* when it has no ∃ and no positive literal occurrence.
+Once a ground anti-monotone instance is false it stays false while facts
+are only added, and ``enforce`` cannot make it true. So when a newly
+asserted fact triggers a false one, the assertion is undone at once
+(``EnforcementContext.refutes``) instead of one level later: only dead
+branches are cut. In clausal mode the sample only grows within a
+branch; paper mode derives facts through negation, which can make them
+disappear, so it gets the index but no refutation.
+
 Termination: the raw procedure diverges when all models are infinite
 (finite satisfiability is only semi-decidable). A fresh-constant budget
 bounds any single search; :meth:`SatisfiabilityChecker.check` with
@@ -23,17 +38,42 @@ bounded search was actually cut short at the largest budget.
 
 from __future__ import annotations
 
+import heapq
 import sys
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.datalog.database import Constraint
 from repro.datalog.facts import FactStore
 from repro.datalog.program import Program
-from repro.integrity.instances import simplified_instances
+from repro.integrity.instances import SimplifiedInstance, simplified_instances
 from repro.integrity.relevance import RelevanceIndex
-from repro.logic.formulas import Atom, Exists, Formula, Literal
+from repro.logic.formulas import (
+    And,
+    Atom,
+    Exists,
+    FalseFormula,
+    Forall,
+    Formula,
+    Literal,
+    Or,
+    TrueFormula,
+    walk_literals,
+)
 from repro.logic.normalize import normalize_constraint
 from repro.logic.parser import parse_formula, parse_program
+from repro.logic.substitution import Substitution
+from repro.logic.terms import Constant, fresh_variable
+from repro.logic.unify import match
 from repro.satisfiability.clauses import rules_as_constraints
 from repro.satisfiability.enforce import (
     EnforcementContext,
@@ -44,6 +84,9 @@ from repro.satisfiability.sample_db import SampleDatabase
 SATISFIABLE = "satisfiable"
 UNSATISFIABLE = "unsatisfiable"
 UNKNOWN = "unknown"
+
+#: A trigger signature: predicate, arity, and whether it is an insertion.
+Signature = Tuple[str, int, bool]
 
 
 class SatResult:
@@ -150,18 +193,27 @@ class SatisfiabilityChecker:
             for c in _formula_constants(constraint.formula)
         }
         self._insertion_instances = self._precompile_instances()
+        # Refutation at assertion is sound only while facts never
+        # disappear within a branch: clausal mode only.
+        self._refuters: Optional[Dict[Signature, _TriggerIndex]] = None
+        if rule_treatment == "clausal":
+            self._refuters = {}
+            for key, index in self._insertion_instances.items():
+                refuters = [
+                    i for i in index.instances if _anti_monotone(i.formula)
+                ]
+                if refuters:
+                    self._refuters[key] = _TriggerIndex(refuters)
 
-    def _precompile_instances(self):
+    def _precompile_instances(self) -> Dict[Signature, "_TriggerIndex"]:
         """Pattern-level simplified instances per trigger signature —
-        the paper's compile-time precomputation (§3.3.1). The explicit
-        sample only grows, so insertion triggers (negative constraint
-        occurrences) always matter; under the paper-literal rule
-        treatment, derived facts can also *disappear* (stratified
+        the paper's compile-time precomputation (§3.3.1), each
+        signature's instances indexed by their trigger's constants. The
+        explicit sample only grows, so insertion triggers (negative
+        constraint occurrences) always matter; under the paper-literal
+        rule treatment, derived facts can also *disappear* (stratified
         negation is nonmonotonic), so deletion triggers are compiled
         too."""
-        from repro.logic.formulas import walk_literals
-        from repro.logic.terms import fresh_variable
-
         signatures = set()
         for constraint in self.constraints:
             for occurrence in walk_literals(constraint.formula):
@@ -187,7 +239,7 @@ class SatisfiabilityChecker:
             instances = []
             for constraint in self.constraints:
                 instances.extend(simplified_instances(constraint, pattern))
-            table[(pred, arity, positive_trigger)] = instances
+            table[(pred, arity, positive_trigger)] = _TriggerIndex(instances)
         return table
 
     @classmethod
@@ -271,6 +323,8 @@ class SatisfiabilityChecker:
         )
         if self._trace_enabled:
             context.trace = []
+        if self._refuters is not None:
+            context.refutes = self._refutes
         self._level_overflow = False
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 20000))
@@ -359,14 +413,13 @@ class SatisfiabilityChecker:
             changes = [
                 Literal(fact, True) for fact in sample.generated_at(level - 1)
             ]
-        from repro.logic.unify import match
-
         for change in changes:
-            key = (change.atom.pred, change.atom.arity, change.positive)
-            for instance in self._insertion_instances.get(key, ()):
-                binding = match(instance.trigger.atom, change.atom)
-                if binding is None:
-                    continue
+            index = self._insertion_instances.get(
+                (change.atom.pred, change.atom.arity, change.positive)
+            )
+            if index is None:
+                continue
+            for instance, binding in index.lookup(change.atom):
                 ground = instance.instantiate(binding)
                 if ground in seen:
                     continue
@@ -374,6 +427,21 @@ class SatisfiabilityChecker:
                 if not sample.evaluate(ground):
                     out.append(ground)
         return out
+
+    def _refutes(self, sample: SampleDatabase, fact: Atom) -> bool:
+        """Whether an anti-monotone instance the newly asserted *fact*
+        triggers is false. In clausal mode the sample only grows within
+        a branch, so such an instance stays false in every extension:
+        the next level would find it violated, and ``enforce`` cannot
+        make it true (it has no positive literal to assert and no
+        existential to witness)."""
+        index = self._refuters.get((fact.pred, fact.arity, True))
+        if index is None:
+            return False
+        return any(
+            not sample.evaluate(instance.instantiate(binding))
+            for instance, binding in index.lookup(fact)
+        )
 
     # -- internal verification ------------------------------------------------------------
 
@@ -386,6 +454,62 @@ class SatisfiabilityChecker:
                     f"internal error: produced model violates "
                     f"{constraint.id}: {constraint.formula}"
                 )
+
+
+class _TriggerIndex:
+    """The simplified instances of one trigger signature, grouped by
+    the argument positions their trigger fixes to constants and keyed
+    by those constants, so a fact is matched only against instances
+    whose constants agree with its arguments."""
+
+    __slots__ = ("instances", "_groups")
+
+    def __init__(self, instances: List[SimplifiedInstance]):
+        self.instances = instances
+        groups: Dict[Tuple[int, ...], Dict[tuple, list]] = {}
+        for order, instance in enumerate(instances):
+            args = instance.trigger.atom.args
+            positions = tuple(
+                i for i, arg in enumerate(args) if isinstance(arg, Constant)
+            )
+            key = tuple(args[i] for i in positions)
+            groups.setdefault(positions, {}).setdefault(key, []).append(
+                (order, instance)
+            )
+        self._groups = list(groups.items())
+
+    def lookup(
+        self, fact: Atom
+    ) -> Iterator[Tuple[SimplifiedInstance, Substitution]]:
+        """``(instance, binding)`` for every instance whose trigger
+        matches *fact*, in precompile order. ``match`` still runs on
+        each candidate: a trigger such as ``r(X, X)`` repeats a
+        variable."""
+        args = fact.args
+        hits = []
+        for positions, buckets in self._groups:
+            bucket = buckets.get(tuple(args[i] for i in positions))
+            if bucket:
+                hits.append(bucket)
+        candidates = hits[0] if len(hits) == 1 else heapq.merge(*hits)
+        for _, instance in candidates:
+            binding = match(instance.trigger.atom, fact)
+            if binding is not None:
+                yield instance, binding
+
+
+def _anti_monotone(formula: Formula) -> bool:
+    """No ∃ node and no positive literal occurrence (restriction atoms
+    of a ∀ occur negatively): a ground formula of this shape that is
+    false over some facts is false over every superset. ``false``
+    qualifies; any other node is treated as not anti-monotone."""
+    if isinstance(formula, Literal):
+        return not formula.positive
+    if isinstance(formula, (And, Or)):
+        return all(_anti_monotone(child) for child in formula.children)
+    if isinstance(formula, Forall):
+        return _anti_monotone(formula.matrix)
+    return isinstance(formula, (TrueFormula, FalseFormula))
 
 
 def check_satisfiability(
@@ -410,15 +534,6 @@ def check_satisfiability(
 
 
 def _formula_constants(formula: Formula):
-    from repro.logic.formulas import (
-        And,
-        FalseFormula,
-        Forall,
-        Or,
-        TrueFormula,
-    )
-    from repro.logic.terms import Constant
-
     if isinstance(formula, Literal):
         return [a for a in formula.atom.args if isinstance(a, Constant)]
     if isinstance(formula, (TrueFormula, FalseFormula)):

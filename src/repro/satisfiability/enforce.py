@@ -11,7 +11,9 @@ exploiting the inductive definition of first-order semantics:
   and enforce R ∧ Q (*fresh*). The reuse alternatives are the paper's
   extension over classical tableaux and are exactly what makes the
   procedure complete for finite satisfiability;
-* positive literal — assert the fact;
+* positive literal — assert the fact; when the context's ``refutes``
+  hook (set by the clausal checker) says the new fact makes the branch
+  dead, undo the assertion and fail this alternative at once;
 * negative literal — unenforceable (fails unless already true).
 
 Each enforcement path is a generator value; exhausting the generator
@@ -22,10 +24,11 @@ sample database's trail).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.logic.formulas import (
     And,
+    Atom,
     Exists,
     FalseFormula,
     Forall,
@@ -60,6 +63,9 @@ class EnforcementContext:
         self.assertions = 0
         self.backtracks = 0
         self.trace: Optional[List[str]] = None
+        # Set by the checker: ``refutes(sample, fact)`` says whether the
+        # just-asserted *fact* makes the branch dead (see ``enforce``).
+        self.refutes: Optional[Callable[[SampleDatabase, Atom], bool]] = None
 
     def log(self, message: str) -> None:
         if self.trace is not None:
@@ -114,6 +120,11 @@ def enforce(
         if sample.assume(atom, level):
             context.assertions += 1
             context.log(f"assert {atom} @L{level}")
+            if context.refutes is not None and context.refutes(sample, atom):
+                sample.undo_to(mark)
+                context.backtracks += 1
+                context.log(f"refute {atom}")
+                return
             yield
             sample.undo_to(mark)
             context.backtracks += 1

@@ -380,6 +380,46 @@ class TestPreparedChecks:
         assert result.violated_constraint_ids() == {"c1", "c2"}
         assert result.stats["instances_evaluated"] == 1
 
+    @pytest.mark.parametrize(
+        "method, lookups", [("interleaved", 6), ("lloyd", 2)]
+    )
+    def test_baselines_report_shared_residual_for_each_constraint(
+        self, method, lookups
+    ):
+        # The same witness through the induced update q(a): the shared
+        # residual is evaluated once and reported for both constraints.
+        db, checker = make_checker(
+            """
+            q(X) :- p(X), marked(X).
+            forall X: p(X) -> false.
+            forall X: q(X) -> false.
+            """
+        )
+        result = getattr(checker, f"check_{method}")(["marked(a)", "p(a)"])
+        assert result.violated_constraint_ids() == {"c1", "c2"}
+        assert result.stats["instances_evaluated"] == 1
+        assert result.stats["lookups"] == lookups
+
+    @pytest.mark.parametrize(
+        "method, lookups",
+        [("nicolas", 1), ("interleaved", 2), ("lloyd", 3), ("bdm", 2)],
+    )
+    def test_relational_shared_residual_reported_for_each_constraint(
+        self, method, lookups
+    ):
+        # Both constraints simplify to ``not q(a)`` under p(a).
+        db, checker = make_checker(
+            """
+            q(a).
+            forall X: p(X) -> not q(X).
+            forall Y: q(Y) -> not p(Y).
+            """
+        )
+        result = getattr(checker, f"check_{method}")("p(a)")
+        assert result.violated_constraint_ids() == {"c1", "c2"}
+        assert result.stats["instances_evaluated"] == 1
+        assert result.stats["lookups"] == lookups
+
     def test_extensional_screen_drops_constants_no_update_has(self):
         # The pattern not p(_U0) reaches the occurrence p(b); the ground
         # update not p(a) does not, so no fact may be read for it.

@@ -141,3 +141,49 @@ def guarded_constraints(draw):
 @st.composite
 def fact_sets(draw, max_size: int = 8):
     return draw(st.lists(ground_atoms(), max_size=max_size, unique=True))
+
+
+#: Optional companions of :func:`ground_clause_problems`' clauses.
+CLAUSE_COMPANIONS = (
+    "forall X: p(X) -> not r(X, X).",
+    "forall X, Y: r(X, Y) -> p(Y).",
+)
+CLAUSE_EXISTENTIAL = "exists X: p(X) and not r(X, X)."
+
+
+@st.composite
+def ground_clause_problems(draw):
+    """Facts-free satisfiability sources dense in ground conflicts:
+    1–6 ground clauses of 1–3 literals over ``p/1`` and ``r/2``, plus
+    optionally the universal companions and the existential above.
+
+    Returns ``(source, domain)``: a brute-force search over *domain*
+    constants is complete for the source. Universal and ground
+    constraints hold in every substructure of a model, so the mentioned
+    constants suffice, plus one for the existential's witness. To keep
+    that search at most 2^12 fact sets, the existential is drawn only
+    over two constants."""
+    existential = draw(st.booleans())
+    pool = ["a", "b", "c"][: 2 if existential else draw(st.integers(2, 3))]
+    constant = st.sampled_from(pool)
+    clauses = []
+    mentioned = set()
+    for _ in range(draw(st.integers(1, 6))):
+        literals = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                pred, args = "p", (draw(constant),)
+            else:
+                pred, args = "r", (draw(constant), draw(constant))
+            mentioned.update(args)
+            atom = f"{pred}({', '.join(args)})"
+            literals.append(atom if draw(st.booleans()) else f"not {atom}")
+        if len(literals) == 1 and not literals[0].startswith("not "):
+            literals.append("false")  # a lone positive literal is a fact
+        clauses.append(" or ".join(literals) + ".")
+    for companion in CLAUSE_COMPANIONS:
+        if draw(st.booleans()):
+            clauses.append(companion)
+    if existential:
+        clauses.append(CLAUSE_EXISTENTIAL)
+    return "\n".join(clauses) + "\n", len(mentioned) + existential

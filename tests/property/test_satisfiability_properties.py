@@ -1,5 +1,11 @@
 """Properties of the satisfiability checker against the brute-force
-finite-model oracle, on random guarded constraint sets."""
+finite-model oracle, on random guarded constraint sets and on ground
+clause sets whose search meets conflicts (and so refutes facts as they
+are asserted).
+
+``REPRO_STRESS=1`` raises the ground-clause example count."""
+
+import os
 
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
@@ -8,7 +14,12 @@ from repro.datalog.database import DeductiveDatabase
 from repro.satisfiability.bruteforce import find_finite_model, is_model
 from repro.satisfiability.checker import SatisfiabilityChecker
 
-from tests.property.strategies import guarded_constraints
+from tests.property.strategies import (
+    ground_clause_problems,
+    guarded_constraints,
+)
+
+EXAMPLES = 500 if os.environ.get("REPRO_STRESS") else 50
 
 
 @st.composite
@@ -62,3 +73,21 @@ class TestSatisfiabilityAgainstBruteForce:
                 max_fresh_constants=3
             )
             assert full.satisfiable
+
+
+class TestGroundClausesAgainstBruteForce:
+    @given(ground_clause_problems())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_verdict_and_model(self, problem):
+        source, domain = problem
+        checker = SatisfiabilityChecker.from_source(source)
+        oracle_model = find_finite_model(
+            checker.constraints, max_domain_size=domain
+        )
+        # One invented constant is the most a model needs (see the
+        # strategy), so this budget leaves no verdict unknown.
+        result = checker.check(max_fresh_constants=1)
+        assert result.satisfiable == (oracle_model is not None), source
+        assert result.unsatisfiable == (oracle_model is None), source
+        if result.satisfiable:
+            assert is_model(result.model, checker.constraints), source

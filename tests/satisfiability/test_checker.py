@@ -2,10 +2,16 @@
 
 import pytest
 
+from repro.logic.formulas import FALSE
+from repro.logic.normalize import normalize_constraint
+from repro.logic.parser import parse_fact, parse_formula
+from repro.logic.unify import match
 from repro.satisfiability.checker import (
     SatisfiabilityChecker,
+    _anti_monotone,
     check_satisfiability,
 )
+from repro.workloads.theorem_proving import SECTION5, SECTION5_WEAKENED
 
 
 class TestTrivialCases:
@@ -137,14 +143,14 @@ class TestNegationRuleAlternatives:
     below would be wrongly refuted. The clausal semantics finds the
     model {q(c), r(c)}."""
 
+    SOURCE = """
+    p(X) :- q(X), not r(X).
+    exists X: q(X).
+    forall X: not p(X).
+    """
+
     def test_negative_body_alternative_explored(self):
-        result = check_satisfiability(
-            """
-            p(X) :- q(X), not r(X).
-            exists X: q(X).
-            forall X: not p(X).
-            """
-        )
+        result = check_satisfiability(self.SOURCE)
         assert result.satisfiable
         assert len(result.model.facts("q")) == 1
         assert len(result.model.facts("r")) == 1
@@ -224,3 +230,159 @@ class TestDeepening:
             max_fresh_constants=4,
         )
         assert result.status == "unknown"
+
+
+def _pigeonhole(holes, pigeons):
+    lines = [
+        " or ".join(f"sits(p{p}, h{h})" for h in range(holes)) + "."
+        for p in range(pigeons)
+    ]
+    lines += [
+        f"sits(p{p}, h{h}) -> not sits(p{q}, h{h})."
+        for h in range(holes)
+        for p in range(pigeons)
+        for q in range(p + 1, pigeons)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+SERIAL = """
+exists X: p(X).
+forall X: p(X) -> exists Y: p(Y) and r(X, Y).
+"""
+
+
+class TestTriggerIndex:
+    SOURCE = """
+    forall X: r(X, X) -> false.
+    r(a, b) -> not p(a).
+    forall Y: r(a, Y) -> not p(Y).
+    r(b, a) -> not p(b).
+    forall X, Y: r(X, Y) -> not q(X).
+    r(a, b) -> not q(b).
+    """
+
+    def index(self):
+        checker = SatisfiabilityChecker.from_source(self.SOURCE)
+        return checker._insertion_instances[("r", 2, True)]
+
+    def test_candidates_in_precompile_order(self):
+        index = self.index()
+        for text in ("r(a, b)", "r(a, a)", "r(b, a)", "r(c, c)"):
+            fact = parse_fact(text)
+            expected = [
+                instance
+                for instance in index.instances
+                if match(instance.trigger.atom, fact) is not None
+            ]
+            hits = [instance for instance, _ in index.lookup(fact)]
+            assert hits == expected, text
+        assert len(list(index.lookup(parse_fact("r(a, b)")))) == 4
+
+    def test_repeated_variable_trigger_needs_equal_arguments(self):
+        index = self.index()
+        # forall X: r(X, X) -> false is the only residual ``false``.
+        reflexive = [i for i in index.instances if i.formula == FALSE]
+        assert len(reflexive) == 1
+
+        def hits(text):
+            return [
+                instance
+                for instance, _ in index.lookup(parse_fact(text))
+                if instance in reflexive
+            ]
+
+        assert hits("r(a, b)") == []
+        assert hits("r(c, c)") == reflexive
+
+
+class TestRefutationAtAssertion:
+    def test_pigeonhole_conflicts_cut_before_the_next_level(self):
+        result = SatisfiabilityChecker.from_source(
+            _pigeonhole(4, 5), trace=True
+        ).check(max_fresh_constants=0)
+        assert result.unsatisfiable
+        assert result.stats["assertions"] <= 300
+        assert any(line.startswith("refute") for line in result.trace)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p(a) or not q(a)",
+            "exists X: p(X)",
+            "forall X: r(a, X) -> exists Y: r(X, Y)",
+            "forall X: r(a, X) -> p(X)",
+        ],
+    )
+    def test_positive_literal_or_existential_is_not_anti_monotone(self, text):
+        assert not _anti_monotone(normalize_constraint(parse_formula(text)))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["not p(a)", "false", "forall X: r(a, X) -> not p(X) or not q(X)"],
+    )
+    def test_anti_monotone_shapes(self, text):
+        assert _anti_monotone(normalize_constraint(parse_formula(text)))
+
+    def test_violated_residual_with_positive_literal_never_refutes(self):
+        # q(c1) is false when p(c1) is asserted, but enforceable.
+        result = SatisfiabilityChecker.from_source(
+            "exists X: p(X).\nforall X: p(X) -> q(X) or exists Y: r(X, Y).",
+            trace=True,
+        ).check()
+        assert result.satisfiable
+        assert not any(line.startswith("refute") for line in result.trace)
+
+    @pytest.mark.parametrize(
+        "extra, limits, assertions, backtracks",
+        [
+            ("", {}, 2, 0),
+            ("forall X: not r(X, X).", {}, 7, 3),
+            (
+                "forall X: not r(X, X).\n"
+                "forall X, Y: r(X, Y) -> not r(Y, X).",
+                {"max_fresh_constants": 4},
+                17,
+                11,
+            ),
+        ],
+    )
+    def test_serial_family_search_unchanged(
+        self, extra, limits, assertions, backtracks
+    ):
+        result = check_satisfiability(SERIAL + extra, **limits)
+        assert result.satisfiable
+        assert result.stats["assertions"] == assertions
+        assert result.stats["backtracks"] == backtracks
+
+
+class TestPaperModeUnchanged:
+    """Paper mode gets the trigger index but no refutation: derived
+    facts can disappear, so a false anti-monotone instance may become
+    true again. Verdicts and stats are pinned as measured before the
+    index existed (``lookups`` reads 0 in paper mode)."""
+
+    @pytest.mark.parametrize(
+        "source, budget, status, stats",
+        [
+            (SECTION5, 6, "unsatisfiable", (43, 43, 0, 4)),
+            (SECTION5_WEAKENED, 6, "satisfiable", (4, 0, 1, 2)),
+            (SERIAL + "forall X: not r(X, X).", 12, "satisfiable", (7, 3, 2, 3)),
+            (_pigeonhole(2, 3), 0, "unsatisfiable", (14, 14, 0, 1)),
+            (TestNegationRuleAlternatives.SOURCE, 3, "unsatisfiable", (1, 1, 0, 2)),
+        ],
+        ids=["section5", "section5_weakened", "serial_irreflexive",
+             "pigeons_3_into_2", "negation_gap"],
+    )
+    def test_verdicts_and_stats(self, source, budget, status, stats):
+        result = check_satisfiability(
+            source, rule_treatment="paper", max_fresh_constants=budget
+        )
+        assert result.status == status
+        assert (
+            result.stats["assertions"],
+            result.stats["backtracks"],
+            result.stats["fresh_constants"],
+            result.stats["rounds"],
+        ) == stats
+        assert result.stats["lookups"] == 0

@@ -49,6 +49,24 @@ class TestLiterals:
 
         assert list(enforce(context, FALSE, 0)) == []
 
+    def test_standalone_context_has_no_refutation_hook(self):
+        assert make_context().refutes is None
+
+    def test_refuted_assertion_undone_without_yielding(self):
+        context = make_context()
+        seen = []
+
+        def refutes(sample, fact):
+            seen.append(fact)
+            return sample.holds(fact)  # the fact is already asserted
+
+        context.refutes = refutes
+        assert list(enforce(context, norm("p(a) or q(b)"), 0)) == []
+        assert seen == [parse_fact("p(a)"), parse_fact("q(b)")]
+        assert len(context.sample) == 0
+        # A refuted assertion counts as one assertion and one backtrack.
+        assert (context.assertions, context.backtracks) == (2, 2)
+
 
 class TestConnectives:
     def test_conjunction_asserts_all(self):
