@@ -297,6 +297,42 @@ class MaintainedModel:
         inserted, deleted = self._maintain(insertions, deletions)
         return inserted - already_true, deleted
 
+    def add_rule(self, rule: Rule) -> Tuple[Set[Atom], Set[Atom]]:
+        """Add *rule* and maintain the model: a rule update treated like
+        a conditional update (Section 3.2). The rule's head instances
+        over the current model that are not already true seed DRed as
+        insertions. Returns the change set, as :meth:`apply` does."""
+        heads = self._heads(rule)
+        self.program = self.program.extended([rule])
+        return self._maintain(
+            [atom for atom in heads if not self.model.contains(atom)], []
+        )
+
+    def remove_rule(self, rule: Rule) -> Tuple[Set[Atom], Set[Atom]]:
+        """Remove *rule* and maintain the model: its head instances that
+        are no extensional fact seed DRed as deletions, and
+        rederivation keeps those with other support."""
+        if rule not in self.program.rules:
+            raise ValueError(f"rule not present: {rule}")
+        heads = self._heads(rule)
+        self.program = Program(r for r in self.program.rules if r != rule)
+        return self._maintain(
+            [], [atom for atom in heads if not self.edb.contains(atom)]
+        )
+
+    def _heads(self, rule: Rule) -> Set[Atom]:
+        """The ground head instances of *rule* over the current model."""
+        answers = join_body(
+            rule.body,
+            Substitution.empty(),
+            lambda index, pattern: self.model.match_substitutions(pattern),
+            self.model.contains,
+            self.planner,
+            config=self.config,
+            probe=probe_from_source(self.model),
+        )
+        return {rule.head.substitute(answer) for answer in answers}
+
     def holds(self, atom: Atom) -> bool:
         return self.model.contains(atom)
 

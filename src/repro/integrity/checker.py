@@ -58,6 +58,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
+from repro.datalog.incremental import MaintainedModel
 from repro.datalog.program import Program
 from repro.datalog.query import QueryEngine
 from repro.integrity.delta_eval import DeltaEvaluator
@@ -196,12 +197,13 @@ class IntegrityChecker:
     dependency closure of every predicate the constraint mentions.
 
     *old_engine*, when given, answers every read of the current state
-    D (the ``delta`` old side, rule-update seeds). A transaction
-    manager passes its committed-state engine over its DRed-maintained
-    model, which holds every derived fact already; without one, the
-    database's own engine for *config* re-derives what the reads need.
-    :meth:`check_applied` reads the same committed state after the
-    update has been applied to it, when it holds U(D).
+    D (the ``delta`` old side). A transaction manager passes its
+    committed-state engine over its DRed-maintained model, which holds
+    every derived fact already; without one, the database's own engine
+    for *config* re-derives what the reads need.
+    :meth:`check_applied` and :meth:`check_rule_applied` read the same
+    committed state after the update has been applied to it, when it
+    holds U(D).
 
     :meth:`check_bdm` and :meth:`check_applied` compile each update
     signature ``(pred, arity, sign)`` once, on its most general pattern
@@ -285,11 +287,7 @@ class IntegrityChecker:
             )
         )
         return self._check_update_constraints(
-            self._compile_traced(updates),
-            self.dependency_index,
-            delta,
-            "bdm",
-            fresh_engine,
+            self._compile_traced(updates), delta, "bdm", fresh_engine
         )
 
     def _compile_traced(self, updates: List[Literal]) -> CompiledCheck:
@@ -352,7 +350,6 @@ class IntegrityChecker:
     def _check_update_constraints(
         self,
         compiled: CompiledCheck,
-        index: DependencyIndex,
         make_delta: Callable[
             [Set[Signature]], Union[DeltaEvaluator, "_AppliedChanges"]
         ],
@@ -363,9 +360,9 @@ class IntegrityChecker:
         confront the compiled update constraints with the delta answers.
         When no update constraint is relevant, no fact is accessed and
         *make_delta* is never called; otherwise it builds ``delta`` for
-        the backward closure (in *index*) of the demanded trigger
-        patterns. ``fresh_engine``, when given, builds a new engine per
-        residual instance (the no-sharing mode of the E4 benchmark)."""
+        the backward closure of the demanded trigger patterns.
+        ``fresh_engine``, when given, builds a new engine per residual
+        instance (the no-sharing mode of the E4 benchmark)."""
         stats: Dict[str, int] = {
             "potential_updates": len(compiled.potential),
             "update_constraints": len(compiled.update_constraints),
@@ -376,7 +373,9 @@ class IntegrityChecker:
         if not compiled.update_constraints:
             return CheckResult([], stats, method)
         delta = make_delta(
-            index.backward_closure(compiled.demanded_signatures())
+            self.dependency_index.backward_closure(
+                compiled.demanded_signatures()
+            )
         )
         if fresh_engine is None:
             evaluate = delta.new_engine.evaluate
@@ -428,11 +427,38 @@ class IntegrityChecker:
         updates = _normalize_updates(updates)
         return self._check_update_constraints(
             self._compile_traced(updates),
-            self.dependency_index,
             lambda closure: _AppliedChanges(
                 updates, inserted, deleted, closure, self._old_state()
             ),
             "bdm",
+        )
+
+    def check_rule_applied(
+        self, rule, added: bool, inserted: Set[Atom], deleted: Set[Atom]
+    ) -> CheckResult:
+        """:meth:`check_applied` for rule DDL (Section 3.2: rule updates
+        "can be treated like conditional updates"), on a checker over
+        the changed program: *rule* was added (or removed) and DRed gave
+        the change set. The trigger is the rule's head pattern, positive
+        for an addition, negative for a removal."""
+        return self._check_rule(rule, added, lambda: (inserted, deleted))
+
+    def _check_rule(
+        self, rule, added: bool, changes: Callable[[], Tuple[Set[Atom], Set[Atom]]]
+    ) -> CheckResult:
+        """:meth:`check_rule_applied`, with the change set asked of
+        *changes* only when some update constraint is relevant."""
+        trigger = Literal(rule.head, added)
+
+        def delta(closure: Set[Signature]) -> _AppliedChanges:
+            inserted, deleted = changes()  # may set old_engine
+            return _AppliedChanges(
+                [trigger], inserted, deleted, closure, self._old_state()
+            )
+
+        method = "rule-addition" if added else "rule-removal"
+        return self._check_update_constraints(
+            self.compile([trigger]), delta, method
         )
 
     def compile(self, updates: UpdateInput) -> CompiledCheck:
@@ -569,103 +595,47 @@ class IntegrityChecker:
     # -- rule updates (Section 3.2: "treated like conditional updates") -----------------
 
     def check_rule_addition(self, rule) -> CheckResult:
-        """Would adding *rule* keep the constraints satisfied?
-
-        The rule's new derivations are the seed induced updates: head
-        instances derivable through the rule in the extended database
-        but false today. They propagate through the extended program's
-        dependency graph exactly like fact-update deltas.
-        """
-        rule = self._coerce_rule(rule)
-        new_program = self.database.program.extended([rule])
-        new_db = DeductiveDatabase(
-            self.database.facts, new_program, list(self.database.constraints)
-        )
-        index = DependencyIndex(new_program)
-        head_pattern = Literal(rule.head, True)
-        compiled = compile_update_constraints(
-            new_program,
-            self.database.constraints,
-            [head_pattern],
-            relevance=self.relevance,
-            index=index,
-        )
-
-        def delta(closure: Set[Signature]) -> DeltaEvaluator:
-            seeds = self._rule_seeds(
-                rule,
-                body_state=new_db.engine(config=self.config),
-                inserted=True,
-            )
-            return self._rule_delta(new_db, index, closure, seeds)
-
-        return self._check_update_constraints(
-            compiled, index, delta, "rule-addition"
-        )
+        """Would adding *rule* keep the constraints satisfied? The
+        rule's new derivations are induced updates like a fact
+        update's: :meth:`check_rule_applied` over a throwaway
+        maintained model with the rule added."""
+        return self._check_rule_update(self._coerce_rule(rule), True)
 
     def check_rule_removal(self, rule) -> CheckResult:
-        """Would removing *rule* keep the constraints satisfied?
+        """Would removing *rule* keep the constraints satisfied? The
+        head instances that lose their only derivation are the induced
+        deletions."""
+        return self._check_rule_update(self._coerce_rule(rule), False)
 
-        Seeds are the head instances that lose their (only) derivation:
-        derivable through the removed rule today, underivable in the
-        reduced database.
-        """
-        rule = self._coerce_rule(rule)
-        remaining = [r for r in self.database.program.rules if r != rule]
-        if len(remaining) == len(self.database.program.rules):
+    def _check_rule_update(self, rule, added: bool) -> CheckResult:
+        """Apply the rule update to a throwaway maintained model and
+        gate its change set on a checker over the changed program. The
+        model is built only when an update constraint is relevant."""
+        program = self.database.program
+        if added:
+            changed = program.extended([rule])
+        elif rule in program.rules:
+            changed = Program(r for r in program.rules if r != rule)
+        else:
             raise ValueError(f"rule not present: {rule}")
-        from repro.datalog.program import Program
-
-        new_program = Program(remaining)
-        new_db = DeductiveDatabase(
-            self.database.facts, new_program, list(self.database.constraints)
-        )
-        index = DependencyIndex(new_program)
-        head_pattern = Literal(rule.head, False)
-        compiled = compile_update_constraints(
-            new_program,
-            self.database.constraints,
-            [head_pattern],
-            relevance=self.relevance,
-            index=index,
-        )
-
-        def delta(closure: Set[Signature]) -> DeltaEvaluator:
-            new_engine = new_db.engine(config=self.config)
-            candidates = self._rule_seeds(
-                rule, body_state=self._old_state(), inserted=False
-            )
-            # Only heads no longer derivable anywhere actually change.
-            seeds = [
-                literal
-                for literal in candidates
-                if not new_engine.holds(literal.atom)
-            ]
-            return self._rule_delta(new_db, index, closure, seeds)
-
-        return self._check_update_constraints(
-            compiled, index, delta, "rule-removal"
-        )
-
-    def _rule_delta(
-        self,
-        new_db: DeductiveDatabase,
-        index: DependencyIndex,
-        closure: Set[Signature],
-        seeds: List[Literal],
-    ) -> DeltaEvaluator:
-        """``delta`` for a rule update: no fact changes, *seeds* are the
-        rule's own induced updates, *new_db* is U(D)."""
-        return DeltaEvaluator(
-            self.database,
-            [],
-            index=index,
-            restrict_to=closure,
+        checker = IntegrityChecker(
+            DeductiveDatabase(
+                self.database.facts, changed, self.database.constraints
+            ),
             config=self.config,
-            new_database=new_db,
-            seeds=seeds,
-            old_engine=self._old_state(),
         )
+
+        def apply() -> Tuple[Set[Atom], Set[Atom]]:
+            model = MaintainedModel(
+                self.database.facts, program, config=self.config
+            )
+            changes = model.add_rule(rule) if added else model.remove_rule(rule)
+            checker.old_engine = QueryEngine(
+                model.model, Program(), config=self.config
+            )
+            return changes
+
+        return checker._check_rule(rule, added, apply)
 
     def _coerce_rule(self, rule):
         from repro.datalog.program import Rule
@@ -683,43 +653,6 @@ class IntegrityChecker:
 
                 raise SafetyError(coded_message(error)) from None
         return rule
-
-    def _rule_seeds(self, rule, body_state, inserted: bool) -> List[Literal]:
-        """Ground head instances the rule derives in *body_state* whose
-        truth actually changes (false today for additions; true today
-        for removals)."""
-        from repro.datalog.joins import join_body
-
-        old_engine = self._old_state()
-
-        def matcher(index: int, pattern):
-            return body_state.match_atom(pattern)
-
-        def probe(index: int, pattern):
-            return body_state.probe_rows(pattern)
-
-        seeds: List[Literal] = []
-        seen = set()
-        for answer in join_body(
-            rule.body,
-            Substitution.empty(),
-            matcher,
-            body_state.holds,
-            body_state.planner,
-            config=self.config,
-            probe=probe,
-        ):
-            head = rule.head.substitute(answer)
-            if head in seen:
-                continue
-            seen.add(head)
-            if inserted:
-                if not old_engine.holds(head):
-                    seeds.append(Literal(head, True))
-            else:
-                if old_engine.holds(head):
-                    seeds.append(Literal(head, False))
-        return seeds
 
 
 def _most_general(pred: str, arity: int, positive: bool) -> Literal:

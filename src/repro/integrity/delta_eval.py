@@ -47,7 +47,8 @@ from repro.logic.unify import match, mgu
 
 
 class DeltaEvaluator:
-    """Enumerates induced updates of a (simulated) update."""
+    """Enumerates the induced updates of a simulated fact update — the
+    ``delta`` of dry runs (:meth:`IntegrityChecker.admit`)."""
 
     def __init__(
         self,
@@ -55,18 +56,15 @@ class DeltaEvaluator:
         updates: Union[str, Literal, "Transaction", Sequence[Literal]],
         index: Optional[DependencyIndex] = None,
         restrict_to: Optional[Set[Signature]] = None,
-        new_database: Optional[DeductiveDatabase] = None,
-        seeds: Optional[Sequence[Literal]] = None,
         *,
         config: Optional[EngineConfig] = None,
         old_engine: Optional[QueryEngine] = None,
     ):
-        """By default the updated state is the fact overlay of
-        *updates*. Rule updates (Section 3.2: "treated like conditional
-        updates") supply their own *new_database* (same facts, changed
-        program) together with pre-verified *seeds* — the ground truth
-        changes the rule change causes directly; propagation and the
-        truth-change tests then run between the two states as usual.
+        """The updated state U(D) is the fact overlay of *updates*.
+        Only dry runs simulate U(D) like this: a commit applies the
+        update to its maintained model first, fact updates and rule
+        DDL alike, and reads the induced updates off DRed's change set
+        (:meth:`IntegrityChecker.check_applied`).
 
         *old_engine* answers reads of the current state D; it defaults
         to the database's own engine. A transaction manager passes its
@@ -91,17 +89,14 @@ class DeltaEvaluator:
         # database, or owned by a manager), so its lookup counter is
         # read relative to this point.
         self._old_lookups_before = self.old_engine.lookup_count
-        if new_database is not None:
-            self.new_view = new_database
-        else:
-            self.new_view = database.updated(list(self.updates))
-        self.new_engine = self.new_view.engine(config=config)
+        self.new_engine = database.updated(list(self.updates)).engine(
+            config=config
+        )
         # Rest-of-body joins are planned against whichever state they
         # run over (old for deletions, new for insertions), reusing
         # each engine's own planner and statistics.
         self._old_planner = self.old_engine.planner
         self._new_planner = self.new_engine.planner
-        self._seeds = None if seeds is None else list(seeds)
         self._restrict = restrict_to
         self._induced: Optional[List[Literal]] = None
         # Statistics for the benchmarks.
@@ -120,8 +115,6 @@ class DeltaEvaluator:
     def _effective_base(self) -> List[Literal]:
         """The explicit updates that actually change a truth value
         (Definition 1 no-ops and derivable-anyway cases are dropped)."""
-        if self._seeds is not None:
-            return list(self._seeds)
         effective = []
         for update in self.updates:
             if update.positive:
@@ -135,11 +128,6 @@ class DeltaEvaluator:
                 ):
                     effective.append(update)
         return effective
-
-    def _admissible(self, literal: Literal) -> bool:
-        if self._restrict is None:
-            return True
-        return (literal.atom.pred, literal.positive) in self._restrict
 
     def _propagate(self) -> List[Literal]:
         seen: Set[Literal] = set()

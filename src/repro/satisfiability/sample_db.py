@@ -120,6 +120,8 @@ class DerivingSampleDatabase(SampleDatabase):
         self._version = 0
         self._cached_engine: Optional[QueryEngine] = None
         self._cached_version = -1
+        # Lookups of the per-version engines already replaced.
+        self._retired_lookups = 0
 
     def assume(self, fact: Atom, level: int) -> bool:
         added = super().assume(fact, level)
@@ -135,6 +137,8 @@ class DerivingSampleDatabase(SampleDatabase):
 
     def _deriving_engine(self) -> QueryEngine:
         if self._cached_version != self._version:
+            if self._cached_engine is not None:
+                self._retired_lookups += self._cached_engine.lookup_count
             self._cached_engine = QueryEngine(
                 self.facts, self.program, config=EngineConfig(strategy="lazy")
             )
@@ -155,6 +159,13 @@ class DerivingSampleDatabase(SampleDatabase):
 
     def holds(self, atom: Atom) -> bool:
         return self._deriving_engine().holds(atom)
+
+    @property
+    def lookup_count(self) -> int:
+        """Lookups of every per-version engine built so far."""
+        current = self._cached_engine
+        live = current.lookup_count if current is not None else 0
+        return super().lookup_count + self._retired_lookups + live
 
     def model_snapshot(self) -> FactStore:
         from repro.datalog.bottomup import compute_model

@@ -35,9 +35,9 @@ Committed-state reads come from the maintained model. The manager
 keeps one :class:`~repro.datalog.query.QueryEngine` over the
 DRed-maintained canonical model with an empty rule set — the model is
 complete, so nothing is derived at read time — and the engine survives
-commits because DRed updates that store in place. Unstaged
-``holds``/``evaluate`` calls and the gate's reads of the old state D
-(``delta``'s old side, rule-DDL seeds, constraint-DDL triage) all go
+every commit, rule DDL included, because DRed updates that store in
+place. Unstaged ``holds``/``evaluate`` calls and the gate's reads of
+the old state D (``delta``'s old side, constraint-DDL triage) all go
 through it, so a read is a store probe. On the commit path the same
 engine reads the candidate state U(D) once the transaction is applied.
 Only dry runs' U(D) and staged session reads still go through overlay
@@ -63,17 +63,21 @@ constraint — satisfied now, hence gate-consistent — is logged and
 installed; ``repairable``/``incompatible``/``undecided`` verdicts are
 returned with witnesses and sample models as diagnostics.
 
-Rule DDL (:meth:`TransactionManager.submit_rule`) is gated twice.
-First the static analyzer (:mod:`repro.analysis`) lints the candidate
+Rule DDL (:meth:`TransactionManager.submit_rule`) first passes the
+static analyzer (:mod:`repro.analysis`), which lints the candidate
 against the committed program — any ``R0xx`` diagnostic rejects the
 rule *before a single evaluation step* (no gate check, no magic
-rewrite, no engine lookup). Only a statically clean rule reaches the
-paper's Section 3.2 rule-update check
-(:meth:`IntegrityChecker.check_rule_addition`); an admitted rule is
-WAL-logged as its own record kind and folded into the program, the
-maintained model and the checker. Both DDL kinds attach the analyzer's
-diagnostics to the :class:`CommitResult` so clients see warnings even
-on successful commits.
+rewrite, no engine lookup). A statically clean rule then commits like
+a fact transaction, as the paper's Section 3.2 treats rule updates
+"like conditional updates": apply → gate → log.
+:meth:`MaintainedModel.add_rule` switches the program and maintains
+the model, :meth:`IntegrityChecker.check_rule_applied` checks the
+change set on a checker over the changed program, and only then is
+the rule WAL-logged as its own record kind. A rejection, or a log
+write that fails, puts back the program, the checker and the model
+change set. Both DDL kinds attach the analyzer's diagnostics to the
+:class:`CommitResult` so clients see warnings even on successful
+commits.
 """
 
 from __future__ import annotations
@@ -188,6 +192,25 @@ class CommitResult:
             else ""
         )
         return f"CommitResult({self.status}{detail}{reason}{diags})"
+
+
+def _gate_rejection(verdict: CheckResult, diagnostics: Sequence = ()) -> CommitResult:
+    """The outcome of a commit the integrity gate turned down."""
+    return CommitResult(
+        REJECTED,
+        check=verdict,
+        diagnostics=diagnostics,
+        reason=f"integrity gate: {len(verdict.violations)} violated constraint instance(s)",
+    )
+
+
+def _analysis_rejection(report) -> CommitResult:
+    """The outcome of DDL the static analyzer turned down."""
+    return CommitResult(
+        REJECTED,
+        diagnostics=report,
+        reason=f"static analysis: {len(report.errors())} error(s)",
+    )
 
 
 class Session:
@@ -432,9 +455,9 @@ class TransactionManager:
 
         The canonical model is complete, so it runs with an empty rule
         set and derives nothing at read time. DRed mutates the model
-        store in place, so it survives every fact commit; only
-        replacing ``self.model`` (rule DDL) calls for a new one. It
-        serves unstaged reads and the gate's old-state reads alike."""
+        store in place, for fact commits and rule DDL alike, so the
+        engine lives as long as the manager. It serves unstaged reads
+        and the gate's old-state reads alike."""
         self._committed_engine = QueryEngine(
             self.model.model, _NO_RULES, config=self.config
         )
@@ -516,21 +539,28 @@ class TransactionManager:
         finally:
             _GATE_SECONDS.observe(time.perf_counter() - start)
 
+    @staticmethod
+    def _maintain(apply: Callable[..., _Changes], *args, **attrs) -> _Changes:
+        """``apply(*args)``, one DRed run of a commit; under a trace, in
+        the ``maintain`` phase and a ``maintain`` span tagged *attrs*."""
+        trace = current_trace()
+        if trace is None:
+            return apply(*args)
+        with trace.phase("maintain"), trace.span("maintain", **attrs):
+            return apply(*args)
+
     def _gate(self, transaction: Transaction) -> Tuple[CheckResult, _Changes]:
         """Admit *transaction* on the commit path: apply it (DRed runs
         once, in a ``maintain`` span), then check its change set against
         the candidate model. A rejection is undone before returning; an
         admitted transaction comes back applied but not yet logged."""
-        trace = current_trace()
-        if trace is None:
-            changes = apply_transaction(transaction, self.database, self.model)
-        else:
-            with trace.phase("maintain"), trace.span(
-                "maintain", updates=len(transaction)
-            ):
-                changes = apply_transaction(
-                    transaction, self.database, self.model
-                )
+        changes = self._maintain(
+            apply_transaction,
+            transaction,
+            self.database,
+            self.model,
+            updates=len(transaction),
+        )
         try:
             verdict = self._admit(
                 "bdm", self.checker.check_applied, transaction, *changes
@@ -550,7 +580,8 @@ class TransactionManager:
         atom DRed over-deleted and re-derived, which sits in both sets.
         An explicitly deleted fact that insertion propagation derived
         again sits in the inserted set only; it was true before the
-        commit (it was stored), so it is re-added last."""
+        commit (it was stored), so it is re-added last. Rule DDL passes
+        an empty *transaction*: it changes no extensional fact."""
         inserted, deleted = changes
         model = self.model.model
         for atom in inserted:
@@ -605,9 +636,10 @@ class TransactionManager:
 
     def submit_rule(self, source: str) -> CommitResult:
         """Rule DDL: the static analyzer gates admission first (any
-        ``R0xx`` diagnostic rejects before a single evaluation step),
-        then the Section 3.2 rule-update check admits the rule against
-        the constraints; only then is it logged and installed."""
+        ``R0xx`` diagnostic rejects before a single evaluation step);
+        then the rule commits like a fact transaction — added to the
+        program and the maintained model, gated on the change set, and
+        logged only if admitted (undone otherwise)."""
         request = _CommitRequest("rule", source=source)
         return self._run(request)
 
@@ -737,14 +769,7 @@ class TransactionManager:
         verdict, changes = self._gate(transaction)
         if not verdict.ok:
             self._bump("txn.rejected")
-            return CommitResult(
-                REJECTED,
-                check=verdict,
-                reason=(
-                    f"integrity gate: {len(verdict.violations)} "
-                    f"violated constraint instance(s)"
-                ),
-            )
+            return _gate_rejection(verdict)
         entry = _CommitEntry(
             lsn + 1, transaction.write_keys(), transaction.predicates()
         )
@@ -820,47 +845,29 @@ class TransactionManager:
             # Rejected before a single evaluation step: no gate check,
             # no magic rewrite, no engine lookup happened.
             self._bump("txn.ddl_rejected")
-            request.finish(
-                CommitResult(
-                    REJECTED,
-                    diagnostics=list(report),
-                    reason=(
-                        f"static analysis: {len(report.errors())} error(s)"
-                    ),
-                )
-            )
+            request.finish(_analysis_rejection(report))
             return
         rule = Rule(parsed.head, parsed.body)
-        verdict = self._admit(
-            "rule-addition", self.checker.check_rule_addition, rule
-        )
-        if not verdict.ok:
-            self._bump("txn.ddl_rejected")
-            request.finish(
-                CommitResult(
-                    REJECTED,
-                    check=verdict,
-                    diagnostics=list(report),
-                    reason=(
-                        f"integrity gate: {len(verdict.violations)} "
-                        f"violated constraint instance(s)"
-                    ),
-                )
-            )
-            return
+        program, checker = self.database.program, self.checker
         lsn = self.version + 1
-        record = WalRecord(lsn, "rule", {"source": request.source})
-        if self.storage is not None:
-            self.storage.log(record)
-        self.database.add_rule(rule)
-        # The maintained model (with the engine over it) and the
-        # checker's dependency indexes are program-dependent: rebuild
-        # both.
-        self.model = MaintainedModel(
-            self.database.facts, self.database.program, config=self.config
-        )
-        self._attach_model()
-        self.checker = self._new_checker()
+        changes = self._maintain(self.model.add_rule, rule, rule=str(rule))
+        try:
+            self.database.add_rule(rule)
+            self.checker = self._new_checker()
+            check = self.checker.check_rule_applied
+            verdict = self._admit("rule-addition", check, rule, True, *changes)
+            if verdict.ok and self.storage is not None:
+                self.storage.log(
+                    WalRecord(lsn, "rule", {"source": request.source})
+                )
+        except BaseException:
+            self._undo_rule(program, checker, changes)
+            raise
+        if not verdict.ok:
+            self._undo_rule(program, checker, changes)
+            self._bump("txn.ddl_rejected")
+            request.finish(_gate_rejection(verdict, report))
+            return
         self.version = lsn
         self._bump("txn.ddl_committed")
         request.finish(
@@ -869,6 +876,17 @@ class TransactionManager:
             )
         )
         self._maybe_checkpoint(1)
+
+    def _undo_rule(
+        self, program: Program, checker: IntegrityChecker, changes: _Changes
+    ) -> None:
+        """Take back a rule DDL applied by :meth:`_commit_rule`: the
+        program of the database and of the model, the checker, and the
+        model change set."""
+        self.database.program = self.model.program = program
+        self.database._bump()
+        self.checker = checker
+        self._undo(Transaction(()), changes)
 
     def _commit_constraint(self, request: _CommitRequest) -> None:
         from repro.analysis import analyze_constraint_candidate
@@ -880,15 +898,7 @@ class TransactionManager:
             # Malformed / unsatisfiable-by-syntax DDL never reaches the
             # satisfiability machinery.
             self._bump("txn.ddl_rejected")
-            request.finish(
-                CommitResult(
-                    REJECTED,
-                    diagnostics=list(report),
-                    reason=(
-                        f"static analysis: {len(report.errors())} error(s)"
-                    ),
-                )
-            )
+            request.finish(_analysis_rejection(report))
             return
         lsn = self.version + 1
         constraint_id = request.constraint_id or self._fresh_constraint_id(lsn)

@@ -8,7 +8,9 @@ Directory layout (one directory per database)::
 Recovery = newest snapshot + replay of every WAL record past its LSN.
 Replay drives the *same* code paths a live commit does — each logged
 transaction is applied to the :class:`FactStore` through Definition 1
-and propagated through the DRed-maintained model — so the recovered
+and propagated through the DRed-maintained model, and each logged rule
+is added to the program and the model
+(:meth:`MaintainedModel.add_rule`) — so the recovered
 state is byte-for-byte the state the crashed process had acknowledged
 (the crash tests additionally pin the recovered model against a
 from-scratch recomputation). A torn tail (crash mid-append) is
@@ -25,8 +27,10 @@ from typing import List, Optional, Set, Tuple, Union
 from repro.config import EngineConfig
 from repro.datalog.database import DeductiveDatabase
 from repro.datalog.incremental import MaintainedModel
+from repro.datalog.program import Rule
 from repro.integrity.transactions import Transaction
 from repro.logic.formulas import Atom
+from repro.logic.parser import parse_rule
 from repro.storage.snapshot import load_latest_snapshot, write_snapshot
 from repro.storage.wal import WalRecord, WriteAheadLog
 
@@ -117,12 +121,6 @@ class StorageEngine:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def is_initialized(self) -> bool:
-        return (
-            load_latest_snapshot(self.directory) is not None
-            or self.wal.size() > 0
-        )
-
     def initialize(
         self,
         database: DeductiveDatabase,
@@ -178,21 +176,11 @@ class StorageEngine:
             )
         last_lsn = snapshot_lsn
         replayed = 0
-        program_changed = False
         for record in records:
             if record.lsn <= snapshot_lsn:
                 continue  # already folded into the snapshot
             replayed += self._replay(record, database, model)
-            program_changed = program_changed or record.kind == "rule"
             last_lsn = record.lsn
-        if program_changed:
-            # Replayed rule DDL changed the program; the maintained
-            # model above was propagated under the old one. Rebuild it
-            # from the final facts + program — exactly the rebuild the
-            # live rule commit performed before logging the record.
-            model = MaintainedModel(
-                database.facts, database.program, config=config
-            )
         return RecoveredState(
             database, model, last_lsn, snapshot_lsn, replayed, truncated
         )
@@ -222,7 +210,11 @@ class StorageEngine:
             )
             return 1
         if record.kind == "rule":
-            database.add_rule(record.data["source"])
+            # The live commit's apply step: the program and the
+            # maintained model change together.
+            rule = Rule.from_parsed(parse_rule(record.data["source"]))
+            database.add_rule(rule)
+            model.add_rule(rule)
             return 1
         raise ValueError(f"unknown record kind {record.kind!r}")
 

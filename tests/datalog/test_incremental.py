@@ -217,6 +217,39 @@ class TestDRedEqualsRecomputation:
         assert deleted == expected_deleted
 
 
+class TestRuleUpdates:
+    def test_addition_lifts_the_head_a_stratum(self):
+        """``p`` moves above ``q``: p(a) is derived (q(b) blocks p(b)),
+        and h(a), which negates p, goes."""
+        maintained = MaintainedModel(
+            store("a(a)", "a(b)", "e(b, c)"),
+            program(
+                "q(X) :- e(X, Y)",
+                "h(X) :- a(X), not p(X)",
+            ),
+        )
+        rule = Rule.from_parsed(parse_rule("p(X) :- a(X), not q(X)"))
+        inserted, deleted = maintained.add_rule(rule)
+        assert inserted == {parse_fact("p(a)")}
+        assert deleted == {parse_fact("h(a)")}
+        assert maintained.program.stratum_of("p") > (
+            maintained.program.stratum_of("q")
+        )
+        assert set(maintained.model) == set(
+            compute_model(maintained.edb, maintained.program)
+        )
+
+    def test_removing_a_missing_rule_changes_nothing(self):
+        maintained = MaintainedModel(store("par(a, b)"), ANCESTOR)
+        before = set(maintained.model)
+        with pytest.raises(ValueError):
+            maintained.remove_rule(
+                Rule.from_parsed(parse_rule("anc(X, Y) :- par(Y, X)"))
+            )
+        assert set(maintained.model) == before
+        assert maintained.program == ANCESTOR
+
+
 class TestPredicateIndexedSet:
     """The DRed overlays are bucketed by predicate so join probes touch
     only same-predicate facts."""

@@ -8,7 +8,9 @@ whose cost is exponential in the signature.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+from hypothesis import assume
 
+from repro.datalog.program import Program, Rule, StratificationError
 from repro.logic.formulas import (
     And,
     Atom,
@@ -20,6 +22,7 @@ from repro.logic.formulas import (
     Not,
     Or,
 )
+from repro.logic.parser import parse_rule
 from repro.logic.terms import Constant, Variable
 
 CONSTANTS = [Constant(name) for name in ("a", "b", "c")]
@@ -187,3 +190,86 @@ def ground_clause_problems(draw):
     if existential:
         clauses.append(CLAUSE_EXISTENTIAL)
     return "\n".join(clauses) + "\n", len(mentioned) + existential
+
+
+#: The signature of :func:`stratified_programs`: extensional ``a/1``,
+#: ``b/1`` and ``e/2``, derived ``r/2``, ``t/2`` and ``p/1``, ``q/1``,
+#: ``s/1``.
+PROGRAM_EDB = (("a", 1), ("b", 1), ("e", 2))
+PROGRAM_IDB = (("r", 2), ("t", 2), ("p", 1), ("q", 1), ("s", 1))
+_UNARY_IDB = ("p", "q", "s")
+
+
+@st.composite
+def program_rules(draw):
+    """One safe rule over the :data:`PROGRAM_IDB` signature, drawn from
+    a small grammar: closure over ``e`` (linear or non-linear, directly
+    or through ``r``), projection, conjunction, and bodies with one or
+    two negated derived literals. Programs built from these need not
+    stratify."""
+    shape = draw(st.sampled_from(
+        ["base", "relay", "linear", "nonlinear", "project", "copy", "join",
+         "negate_loop", "negate_two"]
+    ))
+    if shape == "base":
+        return draw(st.sampled_from(
+            ["t(X, Y) :- e(X, Y)", "t(X, Y) :- r(X, Y)"]
+        ))
+    if shape == "relay":
+        return "r(X, Y) :- e(X, Y)"
+    if shape == "linear":
+        return "t(X, Y) :- e(X, Z), t(Z, Y)"
+    if shape == "nonlinear":
+        return "t(X, Y) :- t(X, Z), t(Z, Y)"
+    head = draw(st.sampled_from(_UNARY_IDB))
+    others = [pred for pred in _UNARY_IDB if pred != head]
+    guard = draw(st.sampled_from(["a", "b"]))
+    if shape == "project":
+        return f"{head}(X) :- {draw(st.sampled_from(['e', 't']))}(X, Y)"
+    if shape == "copy":
+        return f"{head}(X) :- {draw(st.sampled_from(others + ['a', 'b']))}(X)"
+    if shape == "join":
+        return f"{head}(X) :- {guard}(X), {draw(st.sampled_from(others))}(X)"
+    if shape == "negate_loop":
+        return f"{head}(X) :- {guard}(X), not t(X, X)"
+    first, second = others
+    return f"{head}(X) :- {guard}(X), not {first}(X), not {second}(X)"
+
+
+@st.composite
+def stratified_programs(draw, max_rules: int = 6):
+    """A stratified program of 1–*max_rules* distinct
+    :func:`program_rules` (rule objects, in draw order)."""
+    texts = draw(
+        st.lists(program_rules(), min_size=1, max_size=max_rules, unique=True)
+    )
+    rules = [Rule.from_parsed(parse_rule(text)) for text in texts]
+    try:
+        Program(rules)
+    except StratificationError:
+        assume(False)
+    return rules
+
+
+@st.composite
+def program_facts(draw, max_size: int = 10):
+    """Extensional facts of :data:`PROGRAM_EDB` over four constants."""
+    pool = CONSTANTS + [Constant("d")]
+    facts = []
+    for _ in range(draw(st.integers(0, max_size))):
+        pred, arity = draw(st.sampled_from(PROGRAM_EDB))
+        args = tuple(draw(st.sampled_from(pool)) for _ in range(arity))
+        facts.append(Atom(pred, args))
+    return facts
+
+
+#: Constraints over the :func:`stratified_programs` signature.
+PROGRAM_CONSTRAINTS = (
+    "forall X: p(X) -> q(X) or a(X).",
+    "forall X: not s(X).",
+    "forall X: q(X) -> not p(X).",
+    "forall X, Y: t(X, Y) -> not t(Y, X).",
+    "forall X: b(X) -> exists Y: t(X, Y).",
+    "forall X: s(X) -> b(X).",
+    "forall X: a(X) -> p(X) or q(X) or s(X).",
+)

@@ -59,7 +59,7 @@ def ground_check(db, updates):
         )
 
     return checker._check_update_constraints(
-        checker.compile(updates), checker.dependency_index, delta, "bdm"
+        checker.compile(updates), delta, "bdm"
     )
 
 

@@ -133,6 +133,26 @@ forall X: q(X) -> r(X) or seed(X).
 """
 
 
+class TestRuleRejectionRestoresState:
+    def test_rejected_rule(self):
+        """``r(X) :- p(X)`` derives r(a) and r(b), then t and s facts;
+        ``forall X: r(X) -> ok(X)`` fails for b (ok(b) is absent), so
+        the gate rejects and the commit is undone."""
+        db = ManagedDatabase(source=SOURCE)
+        before = stores(db)
+        program = db.manager.database.program
+        result = db.add_rule("r(X) :- p(X).")
+        assert result.status == "rejected"
+        assert {str(v.trigger) for v in result.check.violations} == {"r(b)"}
+        assert stores(db) == before
+        assert db.manager.database.program == program
+        assert db.manager.model.program == program
+        assert not db.holds("r(a)")
+        assert_model_is_recomputed(db)
+        # The undone checker still gates commits under the old program.
+        assert db.submit(["ok(c)", "r(c)"]).status == "committed"
+
+
 class TestExplicitDeletionDerivedAgain:
     def test_rejection_keeps_the_stored_fact(self):
         db = ManagedDatabase(source=STORED_AND_DERIVED)
@@ -185,6 +205,25 @@ class TestWalFailureRollsBack:
         retried = durable.submit(["ok(e)", "r(e)"])
         assert retried.status == "committed" and retried.lsn == lsn + 1
 
+    def test_rule_path(self, durable, monkeypatch):
+        before = stores(durable)
+        manager = durable.manager
+        program, checker, lsn = manager.database.program, manager.checker, durable.lsn
+        with monkeypatch.context() as patch:
+            self.break_log(durable, patch)
+            with pytest.raises(OSError):
+                durable.add_rule("u(X) :- s(X).")
+        assert stores(durable) == before
+        assert manager.database.program == program
+        assert manager.model.program == program
+        assert manager.checker is checker
+        assert durable.lsn == lsn
+        assert_model_is_recomputed(durable)
+        retried = durable.add_rule("u(X) :- s(X).")
+        assert retried.status == "committed" and retried.lsn == lsn + 1
+        assert durable.holds("u(a)")
+        assert_model_is_recomputed(durable)
+
     def test_batch_path(self, durable, monkeypatch):
         for members in (
             [["ok(f)", "r(f)"], ["p(g)"]],
@@ -231,11 +270,24 @@ class TestCommitTrace:
         assert "maintain" not in {span.name for span in trace.spans}
         assert stores(db) == before
 
-    def test_rule_ddl_is_a_gate_admission(self):
+    def test_rule_ddl_is_a_gate_admission(self, monkeypatch):
+        """Rule DDL applies, then gates: DRed maintains the model in a
+        ``maintain`` span before ``gate.check``, and no model is built
+        from scratch."""
         db = ManagedDatabase(source=SOURCE)
+
+        def rebuild(*args, **kwargs):
+            raise AssertionError("rule DDL recomputed the model")
+
+        monkeypatch.setattr("repro.datalog.incremental.compute_model", rebuild)
         with trace_query("add rule") as trace:
             assert db.add_rule("u(X) :- p(X).").status == "committed"
+        monkeypatch.undo()
+        names = [span.name for span in trace.spans]
+        assert names.index("maintain") < names.index("gate.check")
         gate = [span for span in trace.spans if span.name == "gate.check"]
         assert [span.attrs["method"] for span in gate] == ["rule-addition"]
-        assert "gate" in trace.phases
+        assert "maintain" in trace.phases and "gate" in trace.phases
+        assert db.holds("u(a)") and db.holds("u(b)")
+        assert_model_is_recomputed(db)
 
